@@ -62,21 +62,24 @@ CUBIC4_DISPLAY_ORDER = [
 ]
 
 
+_ZERO = Fraction(0)
+
+
 def _coordinatize(elements):
     """Coordinate vectors of fields/forms over the union of their term keys."""
     keys = sorted({key for el in elements for key in el.terms})
-    vectors = [[el.terms.get(key, Fraction(0)) for key in keys] for el in elements]
+    vectors = [[el.terms.get(key, _ZERO) for key in keys] for el in elements]
     return keys, vectors
 
 
 def same_span(elements_a, elements_b):
     """Do two families of fields (or forms) span the same subspace?"""
-    keys = sorted({key for el in list(elements_a) + list(elements_b) for key in el.terms})
+    elements_a = list(elements_a)
+    keys, vectors = _coordinatize(elements_a + list(elements_b))
     if not keys:
         return True
-    rows_a = [[el.terms.get(key, Fraction(0)) for key in keys] for el in elements_a]
-    rows_b = [[el.terms.get(key, Fraction(0)) for key in keys] for el in elements_b]
-    return linalg.span_equal(rows_a, rows_b, len(keys))
+    split = len(elements_a)
+    return linalg.span_equal(vectors[:split], vectors[split:], len(keys))
 
 
 def _combine(basis, vector):
@@ -89,10 +92,8 @@ def _combine(basis, vector):
 
 def _operator_kernel(basis, operator):
     """Exact nullspace of a linear operator given by its action on a basis."""
-    images = [operator(b) for b in basis]
-    keys = sorted({key for im in images for key in im.terms})
-    matrix = [[im.terms.get(key, Fraction(0)) for im in images] for key in keys]
-    vectors = linalg.nullspace(matrix, len(basis))
+    _, columns = _coordinatize([operator(b) for b in basis])
+    vectors = linalg.nullspace([list(row) for row in zip(*columns)], len(basis))
     return [_combine(basis, v) for v in vectors]
 
 
@@ -148,13 +149,18 @@ class QuadraticConstraintSet:
 
 @dataclass(frozen=True)
 class ClassificationCase:
-    """One catalog stratum: kernel, trace-free projection and generators."""
+    """One catalog stratum: kernel, trace-free projection and generators.
+
+    ``generator_flags`` holds one verified ``(poisson, simple, rank)`` tuple
+    per generator, so documents need not recompute them.
+    """
 
     matrix: LinearMatrix
     kernel: SolutionSpace
     tracefree_basis: tuple
     constraints: Optional[QuadraticConstraintSet]
     generators: tuple
+    generator_flags: tuple
 
 
 def matrix_action_field(matrix):
@@ -185,12 +191,9 @@ def tracefree_projection(space):
         return SolutionSpace(f"trace-free part of {space.ambient}", ())
     keys, vectors = _coordinatize(projected)
     reduced, _ = linalg.rref(vectors)
-    fields = []
-    for row in reduced:
-        terms = {key: c for key, c in zip(keys, row) if c}
-        f = PolyVectorField.zero(projected[0].dim)
-        object.__setattr__(f, "terms", terms)
-        fields.append(f)
+    dim = projected[0].dim
+    fields = [PolyVectorField._from_canonical(dim, {key: c for key, c in zip(keys, row) if c})
+              for row in reduced]
     return SolutionSpace(f"trace-free part of {space.ambient}", tuple(fields))
 
 
@@ -217,6 +220,7 @@ def cubic3_catalog(c_matrix):
         tracefree_basis=tracefree.basis,
         constraints=None,
         generators=tuple(generators),
+        generator_flags=((True, True, 2),) * len(generators),
     )
 
 
@@ -296,14 +300,19 @@ def quad4_catalog(a_matrix):
     constraints = quartic_constraints(kernel)
     tracefree = tuple(from_form(exterior_derivative(th)) for th in kernel.basis)
     generators = []
+    flags = []
     for theta in kernel.basis:
         dtheta = exterior_derivative(theta)
         if wedge_forms(dtheta, dtheta).is_zero():
-            generators.append(build_quadratic_poisson(theta, a_matrix))
+            # build_quadratic_poisson has already checked the Poisson flag
+            pi = build_quadratic_poisson(theta, a_matrix)
+            generators.append(pi)
+            flags.append((True, is_simple(pi), generic_rank(pi)))
     return ClassificationCase(
         matrix=a_matrix,
         kernel=kernel,
         tracefree_basis=tracefree,
         constraints=constraints,
         generators=tuple(generators),
+        generator_flags=tuple(flags),
     )

@@ -23,8 +23,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import __version__
-from .errors import ParseError, PolyvecError
-from .fields import LinearMatrix, PolyVectorField, _sort_with_sign, schouten, wedge
+from .errors import DimensionError, ParseError, PolyvecError
+from .fields import (
+    LinearMatrix,
+    PolyVectorField,
+    _accumulate,
+    _sort_with_sign,
+    schouten,
+    wedge,
+)
 from .duality import dim_irrep, exterior_derivative, from_form, to_form, trace_d
 from .decomposition import bracket_parts, decompose
 from .structures import (
@@ -222,14 +229,8 @@ def _canonical_ast(dim, raw_terms):
     collected = {}
     for coeff, exponents, partials in raw_terms:
         sign, idx = _sort_with_sign(partials)
-        if sign == 0 or coeff == 0:
-            continue
-        key = (exponents, idx)
-        s = collected.get(key, Fraction(0)) + sign * coeff
-        if s:
-            collected[key] = s
-        else:
-            collected.pop(key, None)
+        if sign and coeff:
+            _accumulate(collected, (exponents, idx), coeff if sign > 0 else -coeff)
     terms = tuple((c, exp, idx) for (exp, idx), c in sorted(collected.items()))
     return ExpressionAST(dim=dim, terms=terms)
 
@@ -320,7 +321,7 @@ def parse_rmatrix_terms(text, n):
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad r-matrix term {chunk!r}") from exc
         key = ((i, j), (k, l))
-        coefficients[key] = coefficients.get(key, Fraction(0)) + value
+        coefficients[key] = coefficients.get(key, 0) + value
     return RMatrix(n, coefficients)
 
 
@@ -354,11 +355,11 @@ def catalog_document(case, alias="numeric"):
         "generators": [
             {
                 "expression": format_expr(g, alias),
-                "poisson": bool(is_poisson(g)),
-                "simple": bool(is_simple(g)),
-                "rank": generic_rank(g),
+                "poisson": poisson,
+                "simple": simple,
+                "rank": rank,
             }
-            for g in case.generators
+            for g, (poisson, simple, rank) in zip(case.generators, case.generator_flags)
         ],
     }
     if case.constraints is not None:
@@ -390,7 +391,7 @@ def _random_field(rng, n, k, ell, nterms=2):
     terms = {}
     for _ in range(nterms):
         key = (rng.choice(exps), rng.choice(idxs))
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(rng.choice([1, 2, -1, -2]), rng.choice([1, 2]))
+        terms[key] = terms.get(key, 0) + Fraction(rng.choice([1, 2, -1, -2]), rng.choice([1, 2]))
     return PolyVectorField(n, terms)
 
 
@@ -552,6 +553,8 @@ def _dispatch(args, out):
               {"bivector": rendered, "poisson": bool(is_poisson(image))}, out)
         return 0
 
+    if args.dim < 1:
+        raise DimensionError(f"ambient dimension must be >= 1, got {args.dim}")
     exprs = [parse_field(e, args.dim) for e in args.expr]
 
     if cmd == "wedge":

@@ -9,10 +9,15 @@ gives the same operator and is kept around as the cross-check route.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DimensionError, DomainError
-from .fields import PolyVectorField, _frac, _sort_with_sign, merge_indices
+from .fields import (
+    PolyVectorField,
+    _SparseTerms,
+    _accumulate,
+    _sort_with_sign,
+    merge_indices,
+)
 
 
 @dataclass(frozen=True)
@@ -29,122 +34,24 @@ class VolumeConvention:
         return sign
 
 
-class PolyDifferentialForm:
+class PolyDifferentialForm(_SparseTerms):
     """Differential form with polynomial coefficients, stored like a field:
     (exponent tuple, strictly increasing covariant index tuple) -> Fraction.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ()
 
-    def __init__(self, dim, terms=None):
-        if dim < 1:
-            raise DimensionError(f"ambient dimension must be >= 1, got {dim}")
-        canonical = {}
-        for (exp, idx), coeff in (terms or {}).items():
-            coeff = _frac(coeff)
-            if not coeff:
-                continue
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != dim or any(e < 0 for e in exp):
-                raise DimensionError(f"bad exponent tuple {exp} for dimension {dim}")
-            idx = tuple(int(j) for j in idx)
-            if any(j < 1 or j > dim for j in idx) or len(idx) > dim:
-                raise DimensionError(f"covariant index out of range in {idx}")
-            sign, idx = _sort_with_sign(idx)
-            if sign == 0:
-                continue
-            key = (exp, idx)
-            s = canonical.get(key, Fraction(0)) + sign * coeff
-            if s:
-                canonical[key] = s
-            else:
-                canonical.pop(key, None)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", canonical)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyDifferentialForm is immutable")
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, {})
-
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-    def __add__(self, other):
-        self._check_dim(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        out = PolyDifferentialForm.zero(self.dim)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = _frac(c)
-        out = PolyDifferentialForm.zero(self.dim)
-        if c:
-            object.__setattr__(out, "terms", {k: v * c for k, v in self.terms.items()})
-        return out
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyDifferentialForm)
-                and self.dim == other.dim and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def is_zero(self):
-        return not self.terms
+    _index_kind = "covariant"
+    _index_token = "dx"
+    _overlong_raises = True
 
     def form_degrees(self):
         return {len(idx) for _, idx in self.terms}
 
-    def __repr__(self):
-        if not self.terms:
-            return f"PolyDifferentialForm(dim={self.dim}, 0)"
-        bits = []
-        for (exp, idx), c in sorted(self.terms.items()):
-            mono = "*".join(f"x{m + 1}^{e}" for m, e in enumerate(exp) if e)
-            part = "/\\".join(f"dx{j}" for j in idx)
-            bits.append("*".join(s for s in (str(c), mono, part) if s))
-        return f"PolyDifferentialForm(dim={self.dim}, {' + '.join(bits)})"
-
 
 def wedge_forms(a, b):
-    a._check_dim(b)
-    terms = {}
-    for (ea, ia), ca in a.terms.items():
-        for (eb, ib), cb in b.terms.items():
-            merged = merge_indices(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            key = (exp, idx)
-            s = terms.get(key, Fraction(0)) + sign * ca * cb
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    out = PolyDifferentialForm.zero(a.dim)
-    object.__setattr__(out, "terms", terms)
-    return out
+    """Wedge product of forms, through the same kernel as ``fields.wedge``."""
+    return a._wedge(b)
 
 
 def _complement(idx, n):
@@ -164,41 +71,21 @@ def to_form(u):
     terms = {}
     for (exp, idx), c in u.terms.items():
         sign, comp = _complement(idx, u.dim)
-        key = (exp, comp)
-        s = terms.get(key, Fraction(0)) + sign * c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    out = PolyDifferentialForm.zero(u.dim)
-    object.__setattr__(out, "terms", terms)
-    return out
+        terms[(exp, comp)] = c if sign > 0 else -c
+    return PolyDifferentialForm._from_canonical(u.dim, terms)
 
 
 def from_form(omega):
-    """Inverse of :func:`to_form`."""
+    """Inverse of :func:`to_form`: a covariant tuple K goes back to its
+    complement J with the sign of (J, K), which differs from that of (K, J)
+    by (-1)^(|J| |K|)."""
     terms = {}
     for (exp, idx), c in omega.terms.items():
-        sign, comp = _complement_inverse(idx, omega.dim)
-        key = (exp, comp)
-        s = terms.get(key, Fraction(0)) + sign * c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    out = PolyVectorField.zero(omega.dim)
-    object.__setattr__(out, "terms", terms)
-    return out
-
-
-def _complement_inverse(idx, n):
-    """Complement J of a covariant tuple K with the sign sgn(J, K)."""
-    present = set(idx)
-    comp = tuple(j for j in range(1, n + 1) if j not in present)
-    inversions = 0
-    for a in comp:
-        inversions += sum(1 for b in idx if b < a)
-    return (-1 if inversions % 2 else 1), comp
+        sign, comp = _complement(idx, omega.dim)
+        if len(idx) * len(comp) % 2:
+            sign = -sign
+        terms[(exp, comp)] = c if sign > 0 else -c
+    return PolyVectorField._from_canonical(omega.dim, terms)
 
 
 def exterior_derivative(omega):
@@ -215,15 +102,8 @@ def exterior_derivative(omega):
                 continue
             sign, new_idx = merged
             new_exp = exp[:m] + (e - 1,) + exp[m + 1:]
-            key = (new_exp, new_idx)
-            s = terms.get(key, Fraction(0)) + sign * e * c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    out = PolyDifferentialForm.zero(omega.dim)
-    object.__setattr__(out, "terms", terms)
-    return out
+            _accumulate(terms, (new_exp, new_idx), sign * e * c)
+    return PolyDifferentialForm._from_canonical(omega.dim, terms)
 
 
 def interior_product(x, omega):
@@ -245,15 +125,9 @@ def interior_product(x, omega):
             new_idx = idx[:t] + idx[t + 1:]
             for xexp, xc in comp.items():
                 new_exp = tuple(a + b for a, b in zip(exp, xexp))
-                key = (new_exp, new_idx)
-                s = terms.get(key, Fraction(0)) + sign * c * xc
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-    out = PolyDifferentialForm.zero(omega.dim)
-    object.__setattr__(out, "terms", terms)
-    return out
+                p = c * xc
+                _accumulate(terms, (new_exp, new_idx), p if sign > 0 else -p)
+    return PolyDifferentialForm._from_canonical(omega.dim, terms)
 
 
 def lie_derivative_form(x, omega):
@@ -280,15 +154,8 @@ def trace_d(u):
             sign = -1 if (ell - 1 - t) % 2 else 1
             new_exp = exp[:j - 1] + (e - 1,) + exp[j:]
             new_idx = idx[:t] + idx[t + 1:]
-            key = (new_exp, new_idx)
-            s = terms.get(key, Fraction(0)) + sign * e * c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    out = PolyVectorField.zero(u.dim)
-    object.__setattr__(out, "terms", terms)
-    return out
+            _accumulate(terms, (new_exp, new_idx), sign * e * c)
+    return PolyVectorField._from_canonical(u.dim, terms)
 
 
 def dim_irrep(n, k, ell):

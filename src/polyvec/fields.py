@@ -7,16 +7,18 @@ A field is stored as a finitely supported mapping
 
 so each basis element ``x^a d_{j1}/\\.../\\d_{jl}`` with ``j1 < ... < jl``
 appears at most once.  Coefficients are exact rationals throughout; there is
-no floating-point mode.
+no floating-point mode.  The same mapping with covariant indices is a
+differential form (``duality.PolyDifferentialForm``) and with no indices a
+polynomial, so all three share one sparse core, ``_SparseTerms``.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
 radial fields and the action of linear diffeomorphisms.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import (
     DegenerateNormalizerError,
@@ -25,7 +27,6 @@ from .errors import (
     SingularMatrixError,
 )
 from . import linalg
-from .polynomials import poly_const, poly_mul, poly_pow
 
 
 def _frac(x):
@@ -42,6 +43,10 @@ def merge_indices(a, b):
     Returns ``(sign, merged)`` where ``sign`` is the parity of the shuffle
     sorting the concatenation, or ``None`` when the tuples intersect.
     """
+    if not a:
+        return 1, b
+    if not b:
+        return 1, a
     i, j = 0, 0
     sign = 1
     out = []
@@ -76,15 +81,51 @@ class BiDegree:
         return iter((self.k, self.ell))
 
 
-class PolyVectorField:
-    """A polynomial poly-vector field with exact rational coefficients.
+def _accumulate(terms, key, c):
+    """Add the nonzero Fraction ``c`` into ``terms[key]``, dropping the key
+    when the sum cancels.
 
+    This is the single add-and-drop-zero path of every sparse operation, so
+    a stored coefficient is never zero.  A missing key is tested with
+    ``None`` rather than defaulted to ``Fraction(0)``: building that zero on
+    every accumulation is measurable in the hot loops.
+    """
+    old = terms.get(key)
+    if old is None:
+        terms[key] = c
+    else:
+        c += old
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+
+
+def _unit(n, m):
+    """Exponent tuple of the coordinate x_(m+1) in n variables."""
+    return tuple(1 if t == m else 0 for t in range(n))
+
+
+class _SparseTerms:
+    """A finitely supported map (exponents, strictly increasing indices) ->
+    nonzero Fraction on R^dim.
+
+    This is the one place where the representation is decided: validation
+    and canonicalisation, accumulation, arithmetic, equality and the wedge
+    kernel all live here, and subclasses only name their index slots.
     Values are immutable after construction; all operations return new
-    fields, so concurrent use needs no synchronization.  The zero field
+    values, so concurrent use needs no synchronization.  The zero value
     keeps its dimension tag so dimension mismatches stay detectable.
     """
 
     __slots__ = ("dim", "terms")
+
+    # Name of an index slot in error messages and its prefix in ``repr``.
+    _index_kind = "partial"
+    _index_token = "d"
+    # More indices than ``dim``: an error (True) or, since such a term
+    # must repeat an index, a term that drops out (False).
+    _overlong_raises = False
 
     def __init__(self, dim, terms=None):
         if dim < 1:
@@ -98,42 +139,31 @@ class PolyVectorField:
             if len(exp) != dim or any(e < 0 for e in exp):
                 raise DimensionError(f"bad exponent tuple {exp} for dimension {dim}")
             idx = tuple(int(j) for j in idx)
-            if any(j < 1 or j > dim for j in idx):
-                raise DimensionError(f"partial index out of range in {idx}")
-            sign = 1
-            if len(idx) > 1 and list(idx) != sorted(idx):
-                sign, idx = _sort_with_sign(idx)
-                if sign == 0:
-                    continue
-            elif len(set(idx)) != len(idx):
-                continue
-            key = (exp, idx)
-            s = canonical.get(key, Fraction(0)) + sign * coeff
-            if s:
-                canonical[key] = s
-            else:
-                canonical.pop(key, None)
+            if (any(j < 1 or j > dim for j in idx)
+                    or (self._overlong_raises and len(idx) > dim)):
+                raise DimensionError(f"{self._index_kind} index out of range in {idx}")
+            sign, idx = _sort_with_sign(idx)
+            if sign:
+                _accumulate(canonical, (exp, idx), coeff if sign > 0 else -coeff)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", canonical)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyVectorField is immutable")
+    @classmethod
+    def _from_canonical(cls, dim, terms):
+        """Wrap a term dict that is already canonical (sorted indices,
+        nonzero Fraction values) without checking it again; the dict is
+        taken over, not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "terms", terms)
+        return out
 
-    # -- constructors ------------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, dim):
         return cls(dim, {})
-
-    @classmethod
-    def constant(cls, value, dim):
-        return cls(dim, {((0,) * dim, ()): _frac(value)})
-
-    @classmethod
-    def single(cls, dim, coeff, exponents, indices):
-        return cls(dim, {(tuple(exponents), tuple(indices)): _frac(coeff)})
-
-    # -- ring-ish structure ------------------------------------------------
 
     def _check_dim(self, other):
         if self.dim != other.dim:
@@ -144,14 +174,8 @@ class PolyVectorField:
         self._check_dim(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, Fraction(0)) + c
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-        out = PolyVectorField.zero(self.dim)
-        object.__setattr__(out, "terms", terms)
-        return out
+            _accumulate(terms, key, c)
+        return self._from_canonical(self.dim, terms)
 
     def __sub__(self, other):
         return self + (-other)
@@ -161,16 +185,14 @@ class PolyVectorField:
 
     def scale(self, c):
         c = _frac(c)
-        out = PolyVectorField.zero(self.dim)
-        if c:
-            object.__setattr__(out, "terms", {k: v * c for k, v in self.terms.items()})
-        return out
+        terms = {k: v * c for k, v in self.terms.items()} if c else {}
+        return self._from_canonical(self.dim, terms)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def __eq__(self, other):
-        return (isinstance(other, PolyVectorField)
+        return (type(other) is type(self)
                 and self.dim == other.dim and self.terms == other.terms)
 
     def __hash__(self):
@@ -178,6 +200,51 @@ class PolyVectorField:
 
     def is_zero(self):
         return not self.terms
+
+    def _wedge(self, other):
+        """The one wedge kernel, for fields, forms and 0-vector polynomials
+        alike: exponents add, index tuples shuffle-merge with their sign and
+        a shared index kills the pair.  The result has the type of ``self``.
+        """
+        self._check_dim(other)
+        terms = {}
+        for (ea, ia), ca in self.terms.items():
+            for (eb, ib), cb in other.terms.items():
+                merged = merge_indices(ia, ib)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                c = ca * cb
+                _accumulate(terms, (tuple(x + y for x, y in zip(ea, eb)), idx),
+                            c if sign > 0 else -c)
+        return self._from_canonical(self.dim, terms)
+
+    def __repr__(self):
+        name = type(self).__name__
+        if not self.terms:
+            return f"{name}(dim={self.dim}, 0)"
+        bits = []
+        for (exp, idx), c in sorted(self.terms.items()):
+            mono = "*".join(f"x{m + 1}^{e}" for m, e in enumerate(exp) if e)
+            part = "/\\".join(f"{self._index_token}{j}" for j in idx)
+            bits.append("*".join(s for s in (str(c), mono, part) if s))
+        return f"{name}(dim={self.dim}, {' + '.join(bits)})"
+
+
+class PolyVectorField(_SparseTerms):
+    """A polynomial poly-vector field with exact rational coefficients."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def constant(cls, value, dim):
+        return cls(dim, {((0,) * dim, ()): _frac(value)})
+
+    @classmethod
+    def single(cls, dim, coeff, exponents, indices):
+        return cls(dim, {(tuple(exponents), tuple(indices)): _frac(coeff)})
 
     # -- grading -----------------------------------------------------------
 
@@ -206,16 +273,6 @@ class PolyVectorField:
     def bracket(self, other):
         return schouten(self, other)
 
-    def __repr__(self):
-        if not self.terms:
-            return f"PolyVectorField(dim={self.dim}, 0)"
-        bits = []
-        for (exp, idx), c in sorted(self.terms.items()):
-            mono = "*".join(f"x{m + 1}^{e}" for m, e in enumerate(exp) if e)
-            part = "/\\".join(f"d{j}" for j in idx)
-            bits.append("*".join(s for s in (str(c), mono, part) if s))
-        return f"PolyVectorField(dim={self.dim}, {' + '.join(bits)})"
-
 
 def _sort_with_sign(idx):
     """Insertion-sort an index tuple, tracking the permutation sign.
@@ -238,24 +295,7 @@ def _sort_with_sign(idx):
 def wedge(u, v):
     """Wedge product; adds bidegrees and is graded-commutative in the
     natural degree: ``u /\\ v = (-1)^(l l') v /\\ u``."""
-    u._check_dim(v)
-    terms = {}
-    for (ea, ia), ca in u.terms.items():
-        for (eb, ib), cb in v.terms.items():
-            merged = merge_indices(ia, ib)
-            if merged is None:
-                continue
-            sign, idx = merged
-            exp = tuple(x + y for x, y in zip(ea, eb))
-            key = (exp, idx)
-            s = terms.get(key, Fraction(0)) + sign * ca * cb
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-    out = PolyVectorField.zero(u.dim)
-    object.__setattr__(out, "terms", terms)
-    return out
+    return u._wedge(v)
 
 
 def _diff_monomial(exp, m):
@@ -275,23 +315,12 @@ def schouten(u, v):
     ``(k, l) x (k', l') -> (k + k' - 1, l + l' - 1)``.
     """
     u._check_dim(v)
-    n = u.dim
     terms = {}
-
-    def _acc(coeff, exp, idx):
-        if not coeff:
-            return
-        key = (exp, idx)
-        s = terms.get(key, Fraction(0)) + coeff
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-
     for (ea, ia), ca in u.terms.items():
         p = len(ia)
         for (eb, ib), cb in v.terms.items():
             q = len(ib)
+            cab = ca * cb
             # derivatives of v's coefficient along u's partial slots
             for t in range(p):
                 d = _diff_monomial(eb, ia[t] - 1)
@@ -305,7 +334,7 @@ def schouten(u, v):
                 if (p - 1 - t) % 2:
                     sign = -sign
                 exp = tuple(x + y for x, y in zip(ea, new_eb))
-                _acc(sign * factor * ca * cb, exp, idx)
+                _accumulate(terms, (exp, idx), sign * factor * cab)
             # derivatives of u's coefficient along v's partial slots
             outer = -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1
             for s_pos in range(q):
@@ -320,19 +349,14 @@ def schouten(u, v):
                 if (q - 1 - s_pos) % 2:
                     sign = -sign
                 exp = tuple(x + y for x, y in zip(new_ea, eb))
-                _acc(outer * sign * factor * ca * cb, exp, idx)
-    out = PolyVectorField.zero(n)
-    object.__setattr__(out, "terms", terms)
-    return out
+                _accumulate(terms, (exp, idx), outer * sign * factor * cab)
+    return PolyVectorField._from_canonical(u.dim, terms)
 
 
 def radial_field(n):
     """The radial vector field e0 = x^m d_m."""
-    terms = {}
-    for m in range(n):
-        exp = tuple(1 if t == m else 0 for t in range(n))
-        terms[(exp, (m + 1,))] = Fraction(1)
-    return PolyVectorField(n, terms)
+    return PolyVectorField._from_canonical(
+        n, {(_unit(n, m), (m + 1,)): Fraction(1) for m in range(n)})
 
 
 def euler(n, k, ell):
@@ -354,12 +378,8 @@ def homogeneous_components(u):
     for (exp, idx), c in u.terms.items():
         deg = BiDegree(sum(exp), len(idx))
         buckets.setdefault(deg, {})[(exp, idx)] = c
-    out = {}
-    for deg, terms in buckets.items():
-        f = PolyVectorField.zero(u.dim)
-        object.__setattr__(f, "terms", terms)
-        out[deg] = f
-    return out
+    return {deg: PolyVectorField._from_canonical(u.dim, terms)
+            for deg, terms in buckets.items()}
 
 
 class LinearMatrix:
@@ -426,16 +446,10 @@ def linear_vector_field(matrix):
     """The linear vector field with coefficient of d_i equal to row i dot x,
     i.e. M -> M[i][j] x_j d_i."""
     n = matrix.dim
-    terms = {}
-    for i in range(n):
-        for j in range(n):
-            c = matrix.entries[i][j]
-            if not c:
-                continue
-            exp = tuple(1 if t == j else 0 for t in range(n))
-            key = (exp, (i + 1,))
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return PolyVectorField(n, terms)
+    terms = {(_unit(n, j), (i + 1,)): c
+             for i, row in enumerate(matrix.entries)
+             for j, c in enumerate(row) if c}
+    return PolyVectorField._from_canonical(n, terms)
 
 
 def pushforward(l_matrix, u):
@@ -457,43 +471,47 @@ def pushforward(l_matrix, u):
     det = l_matrix.det()
     if not det:
         raise SingularMatrixError("pushforward along a singular matrix")
-    inv = l_matrix.inverse()
+    inv = l_matrix.inverse().entries
+    origin = (0,) * n
+    # the image of x_m as a linear 0-vector, and of d_j as a constant vector
+    coordinates = [
+        PolyVectorField._from_canonical(
+            n, {(_unit(n, t), ()): v for t, v in enumerate(row) if v})
+        for row in l_matrix.entries]
+    partials = [
+        PolyVectorField._from_canonical(
+            n, {(origin, (i + 1,)): inv[i][j] for i in range(n) if inv[i][j]})
+        for j in range(n)]
     out_terms = {}
     for (exp, idx), c in u.terms.items():
-        ell = len(idx)
-        weight = c * det ** (ell - 1)
-        coeff_poly = poly_const(weight, n)
+        image = PolyVectorField._from_canonical(
+            n, {(origin, ()): c * det ** (len(idx) - 1)})
         for m, e in enumerate(exp):
-            if not e:
-                continue
-            lin = {}
-            for t in range(n):
-                v = l_matrix.entries[m][t]
-                if v:
-                    lin[tuple(1 if s == t else 0 for s in range(n))] = v
-            coeff_poly = poly_mul(coeff_poly, poly_pow(lin, e, n))
-        columns = []
+            for _ in range(e):
+                image = image._wedge(coordinates[m])
         for j in idx:
-            columns.append([(i + 1, inv.entries[i][j - 1])
-                            for i in range(n) if inv.entries[i][j - 1]])
-        for choice in product(*columns):
-            new_idx = tuple(i for i, _ in choice)
-            sign, sorted_idx = _sort_with_sign(new_idx)
-            if sign == 0:
-                continue
-            factor = Fraction(sign)
-            for _, v in choice:
-                factor *= v
-            for mono, pc in coeff_poly.items():
-                key = (mono, sorted_idx)
-                s = out_terms.get(key, Fraction(0)) + pc * factor
-                if s:
-                    out_terms[key] = s
-                else:
-                    out_terms.pop(key, None)
-    out = PolyVectorField.zero(n)
-    object.__setattr__(out, "terms", out_terms)
-    return out
+            image = image._wedge(partials[j - 1])
+        for key, value in image.terms.items():
+            _accumulate(out_terms, key, value)
+    return PolyVectorField._from_canonical(n, out_terms)
+
+
+def _skew_slot(dim, lower, upper):
+    """Locate the skew-convention component A_{lower}^{upper}.
+
+    Returns ``(sign, term key, prod of the exponent factorials)``, or
+    ``None`` when ``upper`` repeats an index.
+    """
+    sign, idx = _sort_with_sign(tuple(upper))
+    if sign == 0:
+        return None
+    exp = [0] * dim
+    for i in lower:
+        exp[i - 1] += 1
+    fact = 1
+    for e in exp:
+        fact *= math.factorial(e)
+    return sign, (tuple(exp), idx), fact
 
 
 def skew_component(u, lower, upper):
@@ -503,34 +521,23 @@ def skew_component(u, lower, upper):
     ``lower`` is a multiset of coordinate indices (1-based), ``upper`` a tuple
     of distinct partial indices in any order.
     """
-    sign, idx = _sort_with_sign(tuple(upper))
-    if sign == 0:
+    slot = _skew_slot(u.dim, lower, upper)
+    if slot is None:
         return Fraction(0)
-    exp = [0] * u.dim
-    for i in lower:
-        exp[i - 1] += 1
-    coeff = u.terms.get((tuple(exp), idx), Fraction(0))
-    fact = 1
-    for e in exp:
-        for t in range(2, e + 1):
-            fact *= t
-    return sign * fact * coeff
+    sign, key, fact = slot
+    coeff = u.terms.get(key)
+    return Fraction(0) if coeff is None else sign * fact * coeff
 
 
 def from_skew_components(dim, components):
     """Build a field from skew-convention components A_{lower}^{upper}."""
     terms = {}
     for (lower, upper), value in components.items():
-        sign, idx = _sort_with_sign(tuple(upper))
-        if sign == 0:
+        slot = _skew_slot(dim, lower, upper)
+        if slot is None:
             continue
-        exp = [0] * dim
-        for i in lower:
-            exp[i - 1] += 1
-        fact = 1
-        for e in exp:
-            for t in range(2, e + 1):
-                fact *= t
-        key = (tuple(exp), idx)
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(sign * value, fact)
+        sign, key, fact = slot
+        c = Fraction(sign * value, fact)
+        if c:
+            _accumulate(terms, key, c)
     return PolyVectorField(dim, terms)

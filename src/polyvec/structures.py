@@ -16,10 +16,9 @@ from .errors import (
     ParityError,
     PreconditionError,
 )
-from .fields import PolyVectorField, euler, schouten, wedge
+from .fields import PolyVectorField, _accumulate, euler, schouten, wedge
 from .duality import trace_d
 from .decomposition import decompose
-from .polynomials import poly_add, poly_is_zero, poly_mul, poly_neg
 
 
 class JacobiPair:
@@ -80,16 +79,9 @@ class RMatrix:
                     raise DimensionError(f"matrix unit ({i},{j}) out of range")
             if unit_a == unit_b:
                 continue
-            sign = 1
             if unit_a > unit_b:
-                unit_a, unit_b = unit_b, unit_a
-                sign = -1
-            key = (unit_a, unit_b)
-            s = canonical.get(key, Fraction(0)) + sign * coeff
-            if s:
-                canonical[key] = s
-            else:
-                canonical.pop(key, None)
+                unit_a, unit_b, coeff = unit_b, unit_a, -coeff
+            _accumulate(canonical, (unit_a, unit_b), coeff)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "coefficients", canonical)
 
@@ -140,37 +132,41 @@ def is_simple(p):
 
 def generic_rank(p):
     """Rank of the skew coefficient matrix of a bi-vector over the fraction
-    field: the largest even r with a nonsingular principal r x r block."""
+    field: the largest even r with a nonsingular principal r x r block.
+
+    The matrix entries are polynomials, held as 0-vector fields."""
     for ell in p.vector_degrees():
         if ell != 2:
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
     n = p.dim
-    zero_n = (0,) * n
-    skew = [[{} for _ in range(n)] for _ in range(n)]
-    for (exp, idx), c in p.terms.items():
-        i, j = idx[0] - 1, idx[1] - 1
-        skew[i][j] = poly_add(skew[i][j], {exp: c})
-        skew[j][i] = poly_add(skew[j][i], {exp: -c})
+    entries = {}
+    for (exp, (i, j)), c in p.terms.items():
+        entries.setdefault((i - 1, j - 1), {})[(exp, ())] = c
+    zero = PolyVectorField.zero(n)
+    skew = [[zero] * n for _ in range(n)]
+    for (i, j), terms in entries.items():
+        skew[i][j] = PolyVectorField._from_canonical(n, terms)
+        skew[j][i] = -skew[i][j]
     for r in range(n - n % 2, 0, -2):
         for rows in combinations(range(n), r):
             minor = [[skew[i][j] for j in rows] for i in rows]
-            if not poly_is_zero(_poly_det(minor, n)):
+            if not _poly_det(minor, zero).is_zero():
                 return r
     return 0
 
 
-def _poly_det(m, n):
-    size = len(m)
-    if size == 1:
+def _poly_det(m, zero):
+    """Laplace expansion along the first row; the product of two 0-vector
+    fields is their wedge."""
+    if len(m) == 1:
         return m[0][0]
-    det = {}
-    for col in range(size):
-        entry = m[0][col]
-        if poly_is_zero(entry):
+    det = zero
+    for col, entry in enumerate(m[0]):
+        if entry.is_zero():
             continue
         sub = [row[:col] + row[col + 1:] for row in m[1:]]
-        term = poly_mul(entry, _poly_det(sub, n))
-        det = poly_add(det, term if col % 2 == 0 else poly_neg(term))
+        term = entry._wedge(_poly_det(sub, zero))
+        det = det - term if col % 2 else det + term
     return det
 
 
@@ -308,7 +304,6 @@ def r_matrix_to_bivector(r):
     """Quadratic bi-vector image of an element of Lambda^2(gl_n):
     E_ij /\\ E_kl -> x_i x_k d_j /\\ d_l."""
     n = r.dim
-    out = PolyVectorField.zero(n)
     terms = {}
     for ((i, j), (k, l)), c in r.coefficients.items():
         if j == l:
@@ -316,16 +311,5 @@ def r_matrix_to_bivector(r):
         exp = [0] * n
         exp[i - 1] += 1
         exp[k - 1] += 1
-        sign = 1
-        jj, ll = j, l
-        if jj > ll:
-            jj, ll = ll, jj
-            sign = -1
-        key = (tuple(exp), (jj, ll))
-        s = terms.get(key, Fraction(0)) + sign * c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    object.__setattr__(out, "terms", terms)
-    return out
+        _accumulate(terms, (tuple(exp), (min(j, l), max(j, l))), c if j < l else -c)
+    return PolyVectorField._from_canonical(n, terms)

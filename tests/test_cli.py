@@ -2,6 +2,7 @@ import io
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +148,8 @@ def test_run_error_paths():
     code, _, err = call(["decompose", "--dim", "3", "x1*d2 + x1^2*d3"])
     assert code == 2
     assert call(["no-such-command"])[0] == 2
+    code, _, err = call(["rank", "--dim", "0", "x1*d1/\\d2"])
+    assert (code, err) == (2, "error: ambient dimension must be >= 1, got 0\n")
 
 
 def test_run_selftest():
@@ -210,3 +213,22 @@ def test_quad4_catalog_document_has_constraints_for_nilpotent_stratum():
     assert doc["kernel_dimension"] == 8
     assert doc["constraints"], "nilpotent stratum carries genuine constraints"
     assert doc["constraint_parameters"] == [f"c{i}" for i in range(1, 9)]
+
+
+GOLDENS = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "goldens").glob("*.json"))
+
+
+def test_catalog_goldens_present():
+    assert len(GOLDENS) == 10
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda path: path.stem)
+def test_catalog_document_matches_golden_bytes(golden):
+    """The recorded catalog documents stay byte-identical; read-only."""
+    text = golden.read_text()
+    doc = json.loads(text)
+    command = {3: "classify-cubic3", 4: "classify-quad4"}[doc["dim"]]
+    matrix = ";".join(",".join(row) for row in doc["matrix"])
+    out, err = io.StringIO(), io.StringIO()
+    assert run([command, "--json", "--matrix", matrix], out, err) == 0, err.getvalue()
+    assert out.getvalue() == text

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from polyvec import (
+    DimensionError,
     DomainError,
     PolyDifferentialForm,
     PolyVectorField,
@@ -19,6 +20,7 @@ from polyvec import (
     radial_field,
     to_form,
     trace_d,
+    wedge,
     wedge_forms,
 )
 from util import g_ab_bivector, pv, random_nonzero
@@ -219,3 +221,83 @@ def test_wedge_forms_and_volume_convention():
     assert vol.epsilon((1, 2, 3)) == 1
     assert vol.epsilon((2, 1, 3)) == -1
     assert vol.epsilon((1, 1, 3)) == 0
+
+
+# -- the sparse-term contract shared by fields and forms ----------------------
+
+SPARSE_KINDS = pytest.mark.parametrize(
+    "cls, product", [(PolyVectorField, wedge), (PolyDifferentialForm, wedge_forms)],
+    ids=["field", "form"])
+
+
+@SPARSE_KINDS
+def test_sparse_unsorted_indices_sort_with_sign(cls, product):
+    assert cls(3, {((1, 0, 0), (2, 1)): 3}).terms == {((1, 0, 0), (1, 2)): Fraction(-3)}
+    assert cls(3, {((0, 0, 0), (3, 1, 2)): 2}).terms == {((0, 0, 0), (1, 2, 3)): Fraction(2)}
+    assert cls(3, {((0, 0, 0), (2, 1)): 1, ((0, 0, 0), (1, 2)): 1}).is_zero()
+
+
+@SPARSE_KINDS
+def test_sparse_repeated_index_drops_term(cls, product):
+    u = cls(3, {((0, 0, 0), (1, 1)): 5, ((0, 1, 0), (2, 3, 2)): 1, ((1, 0, 0), (3,)): 2})
+    assert u.terms == {((1, 0, 0), (3,)): Fraction(2)}
+
+
+@SPARSE_KINDS
+def test_sparse_bad_exponents_raise(cls, product):
+    for exp in ((1, 0), (1, 0, 0, 0), (0, -1, 0)):
+        with pytest.raises(DimensionError):
+            cls(3, {(exp, (1,)): 1})
+    with pytest.raises(DimensionError):
+        cls(3, {((0, 0, 0), (4,)): 1})
+    with pytest.raises(DimensionError):
+        cls(0, {})
+
+
+def test_sparse_overlong_index_tuple_form_raises_field_drops():
+    terms = {((0, 0), (1, 2, 1)): 1, ((1, 0), (2,)): 1}
+    with pytest.raises(DimensionError):
+        PolyDifferentialForm(2, terms)
+    assert PolyVectorField(2, terms).terms == {((1, 0), (2,)): Fraction(1)}
+
+
+def test_sparse_field_never_equals_form():
+    terms = {((1, 0, 0), (2,)): 1}
+    assert PolyVectorField(3, terms).terms == PolyDifferentialForm(3, terms).terms
+    assert PolyVectorField(3, terms) != PolyDifferentialForm(3, terms)
+    assert PolyDifferentialForm(3, terms) != PolyVectorField(3, terms)
+    assert PolyVectorField.zero(3) != PolyDifferentialForm.zero(3)
+
+
+@SPARSE_KINDS
+def test_sparse_difference_with_itself_is_empty(cls, product):
+    u = cls(3, {((1, 2, 0), (1, 3)): Fraction(3, 4), ((0, 0, 1), (2,)): -2})
+    diff = u - u
+    assert type(diff) is cls
+    assert diff.terms == {} and diff.is_zero()
+    assert diff.dim == 3 and diff == cls.zero(3)
+
+
+@SPARSE_KINDS
+def test_sparse_coefficients_stay_nonzero_fractions(cls, product):
+    u = cls(3, {((1, 0, 0), (1,)): 2, ((0, 1, 0), (2,)): "1/3"})
+    v = cls(3, {((0, 0, 1), (3,)): -1, ((1, 0, 0), (1,)): -2})
+    results = [u + v, u - v, u.scale(Fraction(5, 7)), -u, 3 * u, product(u, v)]
+    for result in results:
+        assert type(result) is cls
+        assert result.terms
+        for c in result.terms.values():
+            assert type(c) is Fraction and c != 0
+    assert (u + v).terms == {((0, 1, 0), (2,)): Fraction(1, 3), ((0, 0, 1), (3,)): Fraction(-1)}
+    assert u.scale(0).is_zero() and u.scale(0).dim == 3
+
+
+@SPARSE_KINDS
+def test_sparse_values_are_immutable_and_hashable(cls, product):
+    u = cls(2, {((1, 0), (1,)): 1})
+    with pytest.raises(AttributeError):
+        u.terms = {}
+    with pytest.raises(AttributeError):
+        u.dim = 3
+    assert hash(u) == hash(cls(2, {((1, 0), (1,)): Fraction(1)}))
+    assert repr(cls.zero(2)) == f"{cls.__name__}(dim=2, 0)"
