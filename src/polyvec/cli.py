@@ -15,6 +15,7 @@ to minus ``d1/\\d2``.  Coordinate aliases follow the printed dictionaries:
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -456,7 +457,11 @@ def _common_flags(sub):
                      help="coordinate naming used for output")
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by every ``run``:
+    ``parse_args`` keeps no state between calls and returns a fresh
+    ``Namespace`` each time."""
     parser = argparse.ArgumentParser(
         prog="polyvec",
         description="Exact computations with polynomial poly-vector fields.")
@@ -511,9 +516,8 @@ def run(argv, out=None, err=None):
     1 false predicate, 2 error)."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

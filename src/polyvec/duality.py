@@ -170,9 +170,9 @@ def dim_irrep(n, k, ell):
         raise DomainError(f"negative arguments: n={n}, k={k}, l={ell}")
     if ell >= n:
         raise DomainError(f"l = {ell} >= n = {n} is outside the formula's domain")
-    num = math.factorial(n + k)
-    den = (n + k - ell) * math.factorial(k) * math.factorial(ell) * math.factorial(n - ell - 1)
-    dim, rem = divmod(num, den)
+    # (n + k)! / (k! l! (n - l - 1)!) = C(n + k, k) * n * C(n - 1, l), which
+    # stays the size of the answer instead of the size of (n + k)!
+    dim, rem = divmod(math.comb(n + k, k) * n * math.comb(n - 1, ell), n + k - ell)
     if rem:
         raise DomainError("dimension formula did not divide exactly")
     return dim

@@ -89,7 +89,7 @@ def identity(n):
 
 
 def determinant(rows):
-    """Determinant by fraction-free-ish elimination (exact over Fraction)."""
+    """Determinant by Gaussian elimination over Fraction (exact)."""
     m = [[Fraction(x) for x in row] for row in rows]
     n = len(m)
     det = Fraction(1)

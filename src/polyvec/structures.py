@@ -17,6 +17,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import PolyVectorField, _accumulate, euler, schouten, wedge
+from . import linalg
 from .duality import trace_d
 from .decomposition import decompose
 
@@ -131,43 +132,70 @@ def is_simple(p):
 
 
 def generic_rank(p):
-    """Rank of the skew coefficient matrix of a bi-vector over the fraction
-    field: the largest even r with a nonsingular principal r x r block.
+    """Rank of the skew coefficient matrix M of a bi-vector over the field of
+    rational functions: the largest even r with a nonzero principal r x r
+    Pfaffian.
 
-    The matrix entries are polynomials, held as 0-vector fields."""
+    The answer is exact and the same on every run; nothing is random.
+    Partial indices that occur in no term give zero rows and columns and are
+    dropped.  M is evaluated exactly at the fixed point x_m = m + 1/(m + 1)
+    (3/2, 7/3, 13/4, ...), whose coordinates are pairwise distinct and not
+    integers.  The pivot columns S of that rational matrix span its column
+    space, so the principal block M_SS is nonsingular at the point: its
+    Pfaffian is a nonzero polynomial and rank >= |S|.  The Schur complement
+    of M_SS is skew with entries +-Pf(M_{S+i+j}) / Pf(M_SS), so the rank is
+    |S| exactly when every bordered Pfaffian Pf(M_{S+i+j}), i < j outside S,
+    is the zero polynomial (Kronecker's bordered-minor theorem).  A nonzero
+    one grows S by {i, j} and the test repeats, so a point where M happens
+    to lose rank costs time, never a wrong answer.
+    """
     for ell in p.vector_degrees():
         if ell != 2:
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
     n = p.dim
-    entries = {}
-    for (exp, (i, j)), c in p.terms.items():
-        entries.setdefault((i - 1, j - 1), {})[(exp, ())] = c
-    zero = PolyVectorField.zero(n)
-    skew = [[zero] * n for _ in range(n)]
-    for (i, j), terms in entries.items():
-        skew[i][j] = PolyVectorField._from_canonical(n, terms)
-        skew[j][i] = -skew[i][j]
-    for r in range(n - n % 2, 0, -2):
-        for rows in combinations(range(n), r):
-            minor = [[skew[i][j] for j in rows] for i in rows]
-            if not _poly_det(minor, zero).is_zero():
-                return r
-    return 0
+    entries, values = {}, {}
+    for (exp, ij), c in p.terms.items():
+        entries.setdefault(ij, {})[(exp, ())] = c
+        for m, e in enumerate(exp, 1):
+            if e:
+                c *= (m + Fraction(1, m + 1)) ** e
+        values[ij] = values.get(ij, 0) + c
+    upper = {ij: PolyVectorField._from_canonical(n, terms) for ij, terms in entries.items()}
+    support = sorted({i for ij in entries for i in ij})
+    at_point = [[values.get((i, j), 0) if i < j else -values.get((j, i), 0)
+                 for j in support] for i in support]
+    _, pivots = linalg.rref(at_point)
+    chosen = [support[c] for c in pivots]
+    memo = {(): PolyVectorField.constant(1, n)}
+    while True:
+        rest = [i for i in support if i not in chosen]
+        for i, j in combinations(rest, 2):
+            if not _pfaffian(n, tuple(sorted(chosen + [i, j])), upper, memo).is_zero():
+                chosen += [i, j]
+                break
+        else:
+            return len(chosen)
 
 
-def _poly_det(m, zero):
-    """Laplace expansion along the first row; the product of two 0-vector
-    fields is their wedge."""
-    if len(m) == 1:
-        return m[0][0]
-    det = zero
-    for col, entry in enumerate(m[0]):
-        if entry.is_zero():
+def _pfaffian(n, rows, upper, memo):
+    """Pfaffian of the principal block on the sorted index tuple ``rows``,
+    given the entries above the diagonal as 0-vector fields (the product of
+    two of them is their wedge).  Expands along the first row, memoised in
+    ``memo`` by index tuple; ``memo[()]`` holds the constant 1."""
+    found = memo.get(rows)
+    if found is not None:
+        return found
+    first = rows[0]
+    terms = {}
+    for t in range(1, len(rows)):
+        entry = upper.get((first, rows[t]))
+        if entry is None:
             continue
-        sub = [row[:col] + row[col + 1:] for row in m[1:]]
-        term = entry._wedge(_poly_det(sub, zero))
-        det = det - term if col % 2 else det + term
-    return det
+        minor = _pfaffian(n, rows[1:t] + rows[t + 1:], upper, memo)
+        for key, c in entry._wedge(minor).terms.items():
+            _accumulate(terms, key, c if t % 2 else -c)
+    found = memo[rows] = PolyVectorField._from_canonical(n, terms)
+    return found
 
 
 def is_jacobi(pair):

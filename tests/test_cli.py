@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from polyvec import ParseError, PolyVectorField, parse_expr, parse_field, format_expr
+from polyvec import ParseError, PolyVectorField, linalg, parse_expr, parse_field, format_expr
+from polyvec import cli
 from polyvec.cli import (
     catalog_document,
     parse_matrix,
@@ -150,6 +151,42 @@ def test_run_error_paths():
     assert call(["no-such-command"])[0] == 2
     code, _, err = call(["rank", "--dim", "0", "x1*d1/\\d2"])
     assert (code, err) == (2, "error: ambient dimension must be >= 1, got 0\n")
+
+
+def test_run_rank_works_on_the_support_only():
+    """Dimension 2000 with four partial indices in use: at most rank 4, and
+    the support block at x3 = 1 already has rank 4."""
+    at_x3_equal_one = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
+    assert linalg.rank(at_x3_equal_one) == 4
+    assert call(["rank", "--dim", "2000", "d1/\\d2 + x3*d3/\\d4"])[:2] == (0, "4")
+
+
+def test_run_reuses_one_parser_with_unchanged_results(capsys):
+    argvs = [
+        ["rank", "--dim", "4", "--json", "d1/\\d2 + d3/\\d4"],
+        ["trace", "--dim", "3", "x1*d1 + x2*d2"],
+        ["rank", "--bogus", "d1/\\d2"],
+        ["--help"],
+        ["rank", "--help"],
+        ["dim-irrep", "3", "2", "1"],
+        [],
+    ]
+
+    def outcome(argv):
+        code, text, err = call(argv)
+        streams = capsys.readouterr()
+        return code, text, err, streams.out, streams.err
+
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [o[0] for o in fresh] == [0, 0, 2, 0, 0, 0, 2]
+    assert "unrecognized arguments: --bogus" in fresh[2][4]
+    assert fresh[3][3].startswith("usage: polyvec")
+    assert cli._parser() is cli._parser()
+    shared = [outcome(argv) for argv in argvs + argvs]
+    assert shared == fresh + fresh
 
 
 def test_run_selftest():

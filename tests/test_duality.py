@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -155,6 +156,22 @@ def test_dim_irrep_values():
                 fact *= t
             if k <= n - 1:
                 assert dim_irrep(n, k, k) == prod / (fact * fact)
+
+
+def test_dim_irrep_matches_the_factorial_formula():
+    for n in range(1, 9):
+        for k in range(6):
+            for ell in range(n):
+                num = math.factorial(n + k)
+                den = ((n + k - ell) * math.factorial(k) * math.factorial(ell)
+                       * math.factorial(n - ell - 1))
+                assert num % den == 0
+                assert dim_irrep(n, k, ell) == num // den
+
+
+def test_dim_irrep_of_a_large_dimension_builds_no_factorial():
+    n = 10 ** 6
+    assert dim_irrep(n, 2, 1) == (n + 2) * n * (n - 1) // 2
 
 
 def test_dim_irrep_domain_errors():

@@ -21,6 +21,7 @@ from polyvec import (
     is_poisson,
     is_simple,
     jacobi_from_poisson,
+    linalg,
     poisson_component_test,
     poisson_from_jacobi,
     pushforward,
@@ -32,6 +33,7 @@ from polyvec import (
 from util import (
     CASE_A12,
     g_ab_bivector,
+    generic_rank_by_minors,
     pv,
     random_invertible,
     random_nonzero,
@@ -106,6 +108,118 @@ def test_generic_rank_invariant_under_pushforward():
         for _ in range(5):
             l_matrix = random_invertible(rng, 3)
             assert generic_rank(pushforward(l_matrix, pi)) == generic_rank(pi)
+
+
+def linear_field(rng, n, nterms):
+    """A sparse linear vector field as {(variable, partial): coefficient},
+    both 0-based."""
+    slots = rng.sample([(m, i) for m in range(n) for i in range(n)], nterms)
+    return {slot: Fraction(rng.choice((1, 2, 3, 5, 7)) * rng.choice((1, -1)),
+                           rng.choice((1, 1, 2)))
+            for slot in slots}
+
+
+def as_field(n, linear):
+    return PolyVectorField(n, {(tuple(int(t == m) for t in range(n)), (i + 1,)): c
+                               for (m, i), c in linear.items()})
+
+
+def symplectic(n):
+    """The constant form d1/\\d2 + d3/\\d4 + ... on the even part of R^n."""
+    return PolyVectorField(n, {((0,) * n, (i, i + 1)): 1 for i in range(1, n, 2)})
+
+
+def point_skew(pairs, n, point, constant=None):
+    """Skew matrix of sum X /\\ Y (+ constant) at a point, from the factors."""
+    def at(linear):
+        out = [Fraction(0)] * n
+        for (m, i), c in linear.items():
+            out[i] += c * point[m]
+        return out
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for x, y in pairs:
+        xs, ys = at(x), at(y)
+        for i in range(n):
+            for j in range(n):
+                skew[i][j] += xs[i] * ys[j] - xs[j] * ys[i]
+    for (exp, (i, j)), c in (constant.terms if constant else {}).items():
+        skew[i - 1][j - 1] += c
+        skew[j - 1][i - 1] -= c
+    return skew
+
+
+def times_vanishing_form(field):
+    """field times a linear form vanishing at generic_rank's evaluation point
+    x_m = m + 1/(m + 1): 14 * 3/2 - 9 * 7/3 = 0."""
+    return wedge(pv("14*x1 - 9*x2", field.dim), field)
+
+
+def rank_at_documented_point(p):
+    n = p.dim
+    point = [m + Fraction(1, m + 1) for m in range(1, n + 1)]
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for (exp, (i, j)), c in p.terms.items():
+        for m, e in enumerate(exp):
+            c *= point[m] ** e
+        skew[i - 1][j - 1] += c
+        skew[j - 1][i - 1] -= c
+    return linalg.rank(skew)
+
+
+def test_generic_rank_matches_minor_oracle():
+    rng = random.Random(2024)
+    cases = [PolyVectorField.zero(n) for n in (2, 5)]
+    cases += [symplectic(n) for n in (2, 3, 4, 5, 6)]
+    cases += [pv("2*d1/\\d3 - 1/2*d2/\\d4 + d1/\\d4", 4), so3_bivector(),
+              g_ab_bivector(1, 3), g_ab_bivector(2, 0)]
+    for n in (3, 4, 5, 6):
+        for _ in range(5):
+            x, y, z, w = (as_field(n, linear_field(rng, n, rng.randint(2, n)))
+                          for _ in range(4))
+            cases += [wedge(x, y), wedge(x, y) + wedge(z, w)]
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(8):
+            cases.append(random_nonzero(rng, n, rng.randint(0, 2), 2, nterms=rng.randint(1, 6)))
+    for n in (4, 5, 6):
+        x, y = (as_field(n, linear_field(rng, n, 3)) for _ in range(2))
+        cases += [times_vanishing_form(symplectic(n)),
+                  symplectic(n) + times_vanishing_form(wedge(x, y))]
+    cases.append(times_vanishing_form(so3_bivector()))
+    for p in cases:
+        assert generic_rank(p) == generic_rank_by_minors(p), p
+
+
+def test_generic_rank_grows_the_pivot_block_when_the_point_is_unlucky():
+    """Fields that lose rank at the evaluation point: the pivot block found
+    there is too small, and only the bordered Pfaffians reach the answer."""
+    for p, expected in [
+        (times_vanishing_form(symplectic(4)), 4),
+        (pv("d1/\\d2", 4) + times_vanishing_form(pv("d3/\\d4", 4)), 4),
+        (times_vanishing_form(so3_bivector()), 2),
+        (times_vanishing_form(symplectic(6)), 6),
+    ]:
+        assert rank_at_documented_point(p) < expected
+        assert generic_rank(p) == generic_rank_by_minors(p) == expected
+
+
+@pytest.mark.parametrize("n, npairs, nterms, with_symplectic, expected", [
+    (12, 1, 12, False, 2),
+    (10, 2, 8, False, 4),
+    (16, 1, 16, True, 16),
+])
+def test_generic_rank_beyond_minor_enumeration(n, npairs, nterms, with_symplectic, expected):
+    """Each answer is certified in the test: the construction bounds the rank
+    from above, the exact rank at a seeded rational point from below."""
+    rng = random.Random(f"rank-{n}")
+    pairs = [(linear_field(rng, n, nterms), linear_field(rng, n, nterms))
+             for _ in range(npairs)]
+    p = symplectic(n) if with_symplectic else PolyVectorField.zero(n)
+    for x, y in pairs:
+        p = p + wedge(as_field(n, x), as_field(n, y))
+    point = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n)]
+    lower = linalg.rank(point_skew(pairs, n, point, symplectic(n) if with_symplectic else None))
+    assert lower == expected
+    assert generic_rank(p) == expected
 
 
 def test_is_jacobi_examples():

@@ -47,6 +47,40 @@ def random_invertible(rng, n, bound=3):
             return m
 
 
+def generic_rank_by_minors(p):
+    """Reference generic rank: the largest even r with a nonzero principal
+    r x r minor, each minor a Laplace expansion over 0-vector fields.
+
+    Exponential in the dimension; kept only as an oracle for small n."""
+    n = p.dim
+    zero = PolyVectorField.zero(n)
+    skew = [[zero] * n for _ in range(n)]
+    for (exp, (i, j)), c in p.terms.items():
+        entry = PolyVectorField(n, {(exp, ()): c})
+        skew[i - 1][j - 1] = skew[i - 1][j - 1] + entry
+        skew[j - 1][i - 1] = skew[j - 1][i - 1] - entry
+    for r in range(n - n % 2, 0, -2):
+        for rows in combinations(range(n), r):
+            if not _poly_det([[skew[i][j] for j in rows] for i in rows], zero).is_zero():
+                return r
+    return 0
+
+
+def _poly_det(m, zero):
+    """Laplace expansion along the first row; the product of two 0-vector
+    fields is their wedge."""
+    if len(m) == 1:
+        return m[0][0]
+    det = zero
+    for col, entry in enumerate(m[0]):
+        if entry.is_zero():
+            continue
+        sub = [row[:col] + row[col + 1:] for row in m[1:]]
+        term = entry.wedge(_poly_det(sub, zero))
+        det = det - term if col % 2 else det + term
+    return det
+
+
 def shifted_degree(u):
     return next(iter(u.vector_degrees())) - 1
 
