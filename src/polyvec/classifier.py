@@ -62,24 +62,23 @@ CUBIC4_DISPLAY_ORDER = [
 ]
 
 
-_ZERO = Fraction(0)
-
-
 def _coordinatize(elements):
-    """Coordinate vectors of fields/forms over the union of their term keys."""
+    """Sparse coordinate rows ``{column: coefficient}`` of fields/forms, the
+    columns numbering the sorted union of their term keys."""
     keys = sorted({key for el in elements for key in el.terms})
-    vectors = [[el.terms.get(key, _ZERO) for key in keys] for el in elements]
-    return keys, vectors
+    column = {key: c for c, key in enumerate(keys)}
+    rows = [{column[key]: v for key, v in el.terms.items()} for el in elements]
+    return keys, rows
 
 
 def same_span(elements_a, elements_b):
     """Do two families of fields (or forms) span the same subspace?"""
     elements_a = list(elements_a)
-    keys, vectors = _coordinatize(elements_a + list(elements_b))
+    keys, rows = _coordinatize(elements_a + list(elements_b))
     if not keys:
         return True
     split = len(elements_a)
-    return linalg.span_equal(vectors[:split], vectors[split:], len(keys))
+    return linalg.span_equal(rows[:split], rows[split:], len(keys))
 
 
 def _combine(basis, vector):
@@ -91,9 +90,17 @@ def _combine(basis, vector):
 
 
 def _operator_kernel(basis, operator):
-    """Exact nullspace of a linear operator given by its action on a basis."""
-    _, columns = _coordinatize([operator(b) for b in basis])
-    vectors = linalg.nullspace([list(row) for row in zip(*columns)], len(basis))
+    """Exact nullspace of a linear operator given by its action on a basis.
+
+    The matrix has one sparse row per term key of the images: row ``key``
+    maps the index of each basis element to the coefficient of ``key`` in its
+    image, so it goes to ``linalg.nullspace`` without a dense transpose.
+    """
+    rows = {}
+    for j, b in enumerate(basis):
+        for key, c in operator(b).terms.items():
+            rows.setdefault(key, {})[j] = c
+    vectors = linalg.nullspace(list(rows.values()), len(basis))
     return [_combine(basis, v) for v in vectors]
 
 
@@ -105,8 +112,8 @@ class SolutionSpace:
     basis: tuple
 
     def __post_init__(self):
-        keys, vectors = _coordinatize(self.basis)
-        if self.basis and linalg.rank(vectors) != len(self.basis):
+        _, rows = _coordinatize(self.basis)
+        if self.basis and linalg.rank(rows) != len(self.basis):
             raise PreconditionError("solution space basis is linearly dependent")
         object.__setattr__(self, "basis", tuple(self.basis))
 
@@ -189,10 +196,10 @@ def tracefree_projection(space):
     projected = [p for p in projected if not p.is_zero()]
     if not projected:
         return SolutionSpace(f"trace-free part of {space.ambient}", ())
-    keys, vectors = _coordinatize(projected)
-    reduced, _ = linalg.rref(vectors)
+    keys, rows = _coordinatize(projected)
+    reduced, _ = linalg.rref(rows)
     dim = projected[0].dim
-    fields = [PolyVectorField._from_canonical(dim, {key: c for key, c in zip(keys, row) if c})
+    fields = [PolyVectorField._from_canonical(dim, {keys[c]: v for c, v in row.items()})
               for row in reduced]
     return SolutionSpace(f"trace-free part of {space.ambient}", tuple(fields))
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import __version__
-from .errors import DimensionError, ParseError, PolyvecError
+from .errors import DimensionError, ParseError, PolyvecError, PreconditionError
 from .fields import (
     LinearMatrix,
     PolyVectorField,
@@ -38,10 +38,10 @@ from .decomposition import bracket_parts, decompose
 from .structures import (
     JacobiPair,
     RMatrix,
+    _tracefree_is_poisson,
     generic_rank,
     is_jacobi,
     is_poisson,
-    is_simple,
     r_matrix_to_bivector,
 )
 from .classifier import cubic3_catalog, monomial_exponents, quad4_catalog
@@ -166,8 +166,7 @@ class _Parser:
                 coeff *= self.parse_rational()
             elif factor_kind == "NAME":
                 self.advance()
-                c, e, p = self.parse_name(factor_value, factor_at)
-                coeff *= c
+                e, p = self.parse_name(factor_value, factor_at)
                 if e is not None:
                     var, power = e
                     exponents[var - 1] += power
@@ -194,12 +193,12 @@ class _Parser:
         return Fraction(num)
 
     def parse_name(self, name, at):
-        """Resolve a variable or partial token; returns (coeff, (var, power) or
-        None, partial index or None)."""
+        """Resolve a variable or partial token; returns ((var, power) or None,
+        partial index or None)."""
         index = self._resolve(name, at)
         kind, is_partial = index
         if is_partial:
-            return Fraction(1), None, kind
+            return None, kind
         power = 1
         if self.peek()[0] == "^":
             self.advance()
@@ -210,7 +209,7 @@ class _Parser:
             power = int(pvalue)
             if power < 0:
                 raise ParseError("negative exponent", pat)
-        return Fraction(1), (kind, power), None
+        return (kind, power), None
 
     def _resolve(self, name, at):
         if name in self.var_aliases:
@@ -370,13 +369,17 @@ def catalog_document(case, alias="numeric"):
 
 
 def reverify_catalog_document(doc):
-    """Recompute every generator flag recorded in a catalog document."""
+    """Recompute every generator flag recorded in a catalog document; each
+    generator is bracketed with itself once."""
     dim = doc["dim"]
     for entry in doc["generators"]:
         g = parse_field(entry["expression"], dim)
-        if is_poisson(g) != entry["poisson"]:
+        poisson = is_poisson(g)
+        if poisson != entry["poisson"]:
             return False
-        if is_simple(g) != entry["simple"]:
+        if not poisson:
+            raise PreconditionError("the simple flag needs a Poisson structure")
+        if _tracefree_is_poisson(g) != entry["simple"]:
             return False
         if generic_rank(g) != entry["rank"]:
             return False

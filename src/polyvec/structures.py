@@ -125,10 +125,21 @@ def poisson_component_test(a):
 
 
 def is_simple(p):
-    """Is the trace-free part of a homogeneous Poisson structure Poisson?"""
+    """Is the trace-free part of a homogeneous Poisson structure Poisson?
+
+    Checks that ``p`` is Poisson, raising :class:`PreconditionError`
+    otherwise, then answers with :func:`_tracefree_is_poisson`.
+    """
     if not is_poisson(p):
         raise PreconditionError("is_simple needs a Poisson structure")
-    return is_poisson(decompose(p).tracefree)
+    return _tracefree_is_poisson(p)
+
+
+def _tracefree_is_poisson(p):
+    """``is_simple`` for a ``p`` already verified Poisson, without bracketing
+    ``p`` with itself again: when DA = 0 the trace-free part is ``p``."""
+    parts = decompose(p)
+    return parts.trace.is_zero() or is_poisson(parts.tracefree)
 
 
 def generic_rank(p):

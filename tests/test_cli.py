@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from polyvec import ParseError, PolyVectorField, linalg, parse_expr, parse_field, format_expr
+from polyvec import (
+    ParseError,
+    PolyVectorField,
+    PreconditionError,
+    format_expr,
+    linalg,
+    parse_expr,
+    parse_field,
+)
 from polyvec import cli
 from polyvec.cli import (
     catalog_document,
@@ -242,6 +250,30 @@ def test_catalog_document_reverify_detects_tampering():
     doc = catalog_document(cubic3_catalog(CASE_A12))
     doc["generators"][0]["rank"] = 4
     assert not reverify_catalog_document(doc)
+
+
+def test_catalog_document_reverify_checks_simple_flag_from_one_bracket(monkeypatch):
+    from polyvec import structures
+    doc = catalog_document(cubic3_catalog(CASE_B2))
+    generators = [pv(entry["expression"], 3) for entry in doc["generators"]]
+    original = structures.schouten
+    self_brackets = []
+
+    def counting(u, v):
+        if u is v:
+            self_brackets.append(u)
+        return original(u, v)
+
+    monkeypatch.setattr(structures, "schouten", counting)
+    assert reverify_catalog_document(doc)
+    assert [sum(u == g for u in self_brackets) for g in generators] == [1] * len(generators)
+    doc["generators"][0]["simple"] = False
+    assert not reverify_catalog_document(doc)
+    # a generator recorded and confirmed non-Poisson has no simple flag
+    doc["generators"] = [{"expression": "x2*d2/\\d3 + d1/\\d2", "poisson": False,
+                          "simple": False, "rank": 2}]
+    with pytest.raises(PreconditionError, match="needs a Poisson structure"):
+        reverify_catalog_document(doc)
 
 
 def test_quad4_catalog_document_has_constraints_for_nilpotent_stratum():

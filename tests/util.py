@@ -81,6 +81,45 @@ def _poly_det(m, zero):
     return det
 
 
+def rref_dense(rows):
+    """Reference reduced row echelon form: dense Gauss-Jordan over Fraction,
+    first nonzero row as pivot.  Same contract as ``linalg.rref`` on dense
+    rows; kept only as an oracle."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def random_rational_matrix(rng, nrows, ncols, density):
+    """Seeded rational matrix whose entries are nonzero with probability
+    ``density`` (small numerators and denominators, both signs)."""
+    return [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else
+             Fraction(0) for _ in range(ncols)] for _ in range(nrows)]
+
+
 def shifted_degree(u):
     return next(iter(u.vector_degrees())) - 1
 
