@@ -102,13 +102,15 @@ def bracket_parts(a, b):
     c_ab = Fraction(d2, n + d1)
     c_ba = Fraction(d1, n + d2)
 
+    bracket_a0_db = schouten(a0, db)
+    bracket_da_b0 = schouten(da, b0)
     tracefree = schouten(a0, b0)
     tracefree += _wedge_scaled(c_ab, da, b0)
     tracefree += _wedge_scaled(sgn * c_ba, a0, db)
-    tracefree += _euler_term(c_ba, schouten(a0, db), n, k2, ell2)
-    tracefree += _euler_term(-sgn * c_ab, schouten(da, b0), n, k2, ell2)
+    tracefree += _euler_term(c_ba, bracket_a0_db, n, k2, ell2)
+    tracefree += _euler_term(-sgn * c_ab, bracket_da_b0, n, k2, ell2)
 
-    trace = schouten(a0, db) - schouten(da, b0).scale(sgn)
+    trace = bracket_a0_db - bracket_da_b0.scale(sgn)
     d12 = d1 + d2
     c_mix = Fraction((n + d12) * (d1 - d2), (n + d1) * (n + d2))
     trace -= _wedge_scaled(c_mix, da, db)

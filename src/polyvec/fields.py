@@ -19,6 +19,7 @@ radial fields and the action of linear diffeomorphisms.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, index
 
 from .errors import (
     DegenerateNormalizerError,
@@ -135,10 +136,10 @@ class _SparseTerms:
             coeff = _frac(coeff)
             if not coeff:
                 continue
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(index, exp))
             if len(exp) != dim or any(e < 0 for e in exp):
                 raise DimensionError(f"bad exponent tuple {exp} for dimension {dim}")
-            idx = tuple(int(j) for j in idx)
+            idx = tuple(map(index, idx))
             if (any(j < 1 or j > dim for j in idx)
                     or (self._overlong_raises and len(idx) > dim)):
                 raise DimensionError(f"{self._index_kind} index out of range in {idx}")
@@ -298,12 +299,64 @@ def wedge(u, v):
     return u._wedge(v)
 
 
-def _diff_monomial(exp, m):
-    """d/dx_m of x^exp as (factor, new exponent) or None."""
-    e = exp[m]
-    if e == 0:
-        return None
-    return e, exp[:m] + (e - 1,) + exp[m + 1:]
+def _integer_terms(u):
+    """``u``'s terms over one common denominator: ``(D, [(exp, idx, c * D)])``
+    with ``D`` the lcm of the coefficient denominators, so every ``c * D`` is
+    an exact Python int."""
+    denom = math.lcm(*(c.denominator for c in u.terms.values()))
+    return denom, [(exp, idx, c.numerator * (denom // c.denominator))
+                   for (exp, idx), c in u.terms.items()]
+
+
+def _derivative_buckets(dim, terms):
+    """Bucket integer terms by the variables their monomials contain.
+
+    ``buckets[m]`` lists d/dx_(m+1) of every term whose exponent of x_(m+1)
+    is positive, as ``(exponent with e_m - 1, indices, e_m * numerator)``;
+    a partial slot d_j of the other operand reaches exactly ``buckets[j - 1]``.
+    """
+    buckets = [[] for _ in range(dim)]
+    for exp, idx, c in terms:
+        for m, e in enumerate(exp):
+            if e:
+                buckets[m].append((exp[:m] + (e - 1,) + exp[m + 1:], idx, e * c))
+    return buckets
+
+
+def _slot_derivatives(totals, merges, terms, buckets, twist):
+    """Accumulate into ``totals`` the half of the Schouten bracket in which
+    the partial slots of ``terms`` differentiate the coefficients bucketed in
+    ``buckets``: each slot d_j at position t of an index tuple of length p
+    contributes (-1)^(p-1-t) * (slot-free indices) /\\ (the other indices).
+
+    With ``twist`` each contribution is multiplied by -(-1)^((p-1)(q-1)),
+    p and q the two vector degrees: the sign that turns the half with the
+    roles swapped into the second half of ``[u, v]``.  ``merges`` memoises
+    ``merge_indices`` by its two arguments for the whole bracket.
+    """
+    for ea, ia, ca in terms:
+        p = len(ia)
+        for t, j in enumerate(ia):
+            bucket = buckets[j - 1]
+            if not bucket:
+                continue
+            rest = ia[:t] + ia[t + 1:]
+            row = merges.get(rest)
+            if row is None:
+                row = merges[rest] = {}
+            c = ca if (p - 1 - t) % 2 == 0 else -ca
+            # the coefficient for an other-operand index tuple of even / odd length
+            by_parity = ((c, -c) if p % 2 == 0 else (-c, -c)) if twist else (c, c)
+            for eb, ib, cb in bucket:
+                merged = row.get(ib, False)
+                if merged is False:
+                    merged = row[ib] = merge_indices(rest, ib)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                key = (tuple(map(add, ea, eb)), idx)
+                value = by_parity[len(ib) % 2] * cb
+                totals[key] = totals.get(key, 0) + (value if sign > 0 else -value)
 
 
 def schouten(u, v):
@@ -313,44 +366,21 @@ def schouten(u, v):
     function f; in general it is the bi-derivation extension, graded
     antisymmetric for the shifted degrees and mapping bidegrees
     ``(k, l) x (k', l') -> (k + k' - 1, l + l' - 1)``.
+
+    The kernel works in exact integers: each operand's coefficients are put
+    over their common denominator once, only the term pairs where a partial
+    slot meets a variable of the other coefficient are visited, and each
+    output term becomes one ``Fraction`` at the end.
     """
     u._check_dim(v)
-    terms = {}
-    for (ea, ia), ca in u.terms.items():
-        p = len(ia)
-        for (eb, ib), cb in v.terms.items():
-            q = len(ib)
-            cab = ca * cb
-            # derivatives of v's coefficient along u's partial slots
-            for t in range(p):
-                d = _diff_monomial(eb, ia[t] - 1)
-                if d is None:
-                    continue
-                factor, new_eb = d
-                merged = merge_indices(ia[:t] + ia[t + 1:], ib)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                if (p - 1 - t) % 2:
-                    sign = -sign
-                exp = tuple(x + y for x, y in zip(ea, new_eb))
-                _accumulate(terms, (exp, idx), sign * factor * cab)
-            # derivatives of u's coefficient along v's partial slots
-            outer = -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1
-            for s_pos in range(q):
-                d = _diff_monomial(ea, ib[s_pos] - 1)
-                if d is None:
-                    continue
-                factor, new_ea = d
-                merged = merge_indices(ib[:s_pos] + ib[s_pos + 1:], ia)
-                if merged is None:
-                    continue
-                sign, idx = merged
-                if (q - 1 - s_pos) % 2:
-                    sign = -sign
-                exp = tuple(x + y for x, y in zip(new_ea, eb))
-                _accumulate(terms, (exp, idx), outer * sign * factor * cab)
-    return PolyVectorField._from_canonical(u.dim, terms)
+    du, us = _integer_terms(u)
+    dv, vs = _integer_terms(v)
+    totals, merges = {}, {}
+    _slot_derivatives(totals, merges, us, _derivative_buckets(u.dim, vs), False)
+    _slot_derivatives(totals, merges, vs, _derivative_buckets(u.dim, us), True)
+    denom = du * dv
+    return PolyVectorField._from_canonical(
+        u.dim, {key: Fraction(total, denom) for key, total in totals.items() if total})
 
 
 def radial_field(n):

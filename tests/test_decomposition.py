@@ -127,6 +127,26 @@ def test_bracket_parts_matches_direct_route():
         assert tr == parts.trace
 
 
+def test_bracket_parts_brackets_each_pair_once(monkeypatch):
+    from polyvec import decomposition
+    a = pv("x1^2*d1/\\d3 + 2*x1*x2*d2/\\d3", 3)
+    b = pv("x1*x3*d3 - 1/3*x2^2*d1", 3)
+    assert not trace_d(a).is_zero() and not trace_d(b).is_zero()
+    original = decomposition.schouten
+    calls = []
+
+    def counting(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(decomposition, "schouten", counting)
+    tf, tr = bracket_parts(a, b)
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+    parts = decompose(schouten(a, b))
+    assert (tf, tr) == (parts.tracefree, parts.trace)
+
+
 def test_bracket_parts_rejects_mixed_input():
     with pytest.raises(HomogeneityError):
         bracket_parts(pv("x1*d2 + x1^2*d3", 3), pv("d1", 3))

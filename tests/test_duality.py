@@ -271,6 +271,19 @@ def test_sparse_bad_exponents_raise(cls, product):
         cls(0, {})
 
 
+@SPARSE_KINDS
+def test_sparse_non_integral_exponents_and_indices_raise(cls, product):
+    for key in (((1.5, 0), (1,)), ((1.0, 0), (1,)), (("1", 0), (1,)),
+                ((Fraction(1), 0), (1,)), ((1, 0), (1.9,)), ((1, 0), ("1",)),
+                ((1, 0), (1, 2.0))):
+        with pytest.raises(TypeError):
+            cls(2, {key: 1})
+    # a float coefficient fails the same way
+    with pytest.raises(TypeError):
+        cls(2, {((1, 0), (1,)): 1.0})
+    assert cls(2, {((True, 0), (2,)): 1}).terms == {((1, 0), (2,)): Fraction(1)}
+
+
 def test_sparse_overlong_index_tuple_form_raises_field_drops():
     terms = {((0, 0), (1, 2, 1)): 1, ((1, 0), (2,)): 1}
     with pytest.raises(DimensionError):

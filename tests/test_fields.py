@@ -65,6 +65,8 @@ def test_schouten_so3_self_bracket_vanishes():
 def test_schouten_dimension_mismatch():
     with pytest.raises(DimensionError):
         schouten(pv("d1", 2), pv("d1", 3))
+    with pytest.raises(DimensionError):
+        schouten(PolyVectorField.zero(3), PolyVectorField.zero(2))
 
 
 def test_euler_fixtures():

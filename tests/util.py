@@ -11,6 +11,7 @@ from polyvec import (
     monomial_exponents,
     parse_field,
 )
+from polyvec.fields import _accumulate, merge_indices
 
 
 def pv(text, n):
@@ -79,6 +80,57 @@ def _poly_det(m, zero):
         term = entry.wedge(_poly_det(sub, zero))
         det = det - term if col % 2 else det + term
     return det
+
+
+def _diff_monomial(exp, m):
+    """d/dx_m of x^exp as (factor, new exponent) or None."""
+    e = exp[m]
+    if e == 0:
+        return None
+    return e, exp[:m] + (e - 1,) + exp[m + 1:]
+
+
+def schouten_pairwise(u, v):
+    """Reference Schouten bracket: every term pair, one Fraction product per
+    pair, each partial slot probed against the other monomial.  Same
+    contract as ``fields.schouten``; kept only as an oracle."""
+    u._check_dim(v)
+    terms = {}
+    for (ea, ia), ca in u.terms.items():
+        p = len(ia)
+        for (eb, ib), cb in v.terms.items():
+            q = len(ib)
+            cab = ca * cb
+            # derivatives of v's coefficient along u's partial slots
+            for t in range(p):
+                d = _diff_monomial(eb, ia[t] - 1)
+                if d is None:
+                    continue
+                factor, new_eb = d
+                merged = merge_indices(ia[:t] + ia[t + 1:], ib)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                if (p - 1 - t) % 2:
+                    sign = -sign
+                exp = tuple(x + y for x, y in zip(ea, new_eb))
+                _accumulate(terms, (exp, idx), sign * factor * cab)
+            # derivatives of u's coefficient along v's partial slots
+            outer = -1 if ((p - 1) * (q - 1)) % 2 == 0 else 1
+            for s_pos in range(q):
+                d = _diff_monomial(ea, ib[s_pos] - 1)
+                if d is None:
+                    continue
+                factor, new_ea = d
+                merged = merge_indices(ib[:s_pos] + ib[s_pos + 1:], ia)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                if (q - 1 - s_pos) % 2:
+                    sign = -sign
+                exp = tuple(x + y for x, y in zip(new_ea, eb))
+                _accumulate(terms, (exp, idx), outer * sign * factor * cab)
+    return PolyVectorField._from_canonical(u.dim, terms)
 
 
 def rref_dense(rows):
