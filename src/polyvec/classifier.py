@@ -15,6 +15,8 @@ what reproduces the printed kernel bases of the catalog strata.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import add
 from typing import Optional
 
 from .errors import DimensionError, PreconditionError
@@ -22,6 +24,8 @@ from . import linalg
 from .fields import (
     LinearMatrix,
     PolyVectorField,
+    _integer_terms,
+    _sort_with_sign,
     euler,
     linear_vector_field,
     schouten,
@@ -252,21 +256,58 @@ def compatible_cubic_oneforms(a_matrix):
     return SolutionSpace("cubic 1-forms in dimension 4 (80 coefficients)", tuple(kernel))
 
 
+# The six ordered pairs (ab, cd) of complementary index pairs of (1, 2, 3, 4)
+# with the sign of the permutation (a, b, c, d).
+_COMPLEMENTARY_PAIRS = tuple(
+    (ab, cd, _sort_with_sign(ab + cd)[0])
+    for ab in combinations(range(1, 5), 2)
+    for cd in [tuple(j for j in range(1, 5) if j not in ab)])
+
+
 def quartic_constraints(space):
     """Coefficients of d theta /\\ d theta as quadratics in the family
-    parameters of a cubic 1-form solution space."""
-    basis = list(space.basis)
-    m = len(basis)
-    differentials = [exterior_derivative(th) for th in basis]
+    parameters of a cubic 1-form solution space in dimension four.
+
+    The coefficient of c_i c_j (i <= j) is (2 - [i = j]) (d theta_i /\\
+    d theta_j)_{1234}, and in dimension four that component is the signed sum
+    over the six ordered complementary index pairs (ab, cd) of
+    (d theta_i)_{ab} (d theta_j)_{cd}.  Each d theta_i goes over its common
+    denominator D_i once and its terms are bucketed by index pair; a pair
+    (i, j) accumulates in integers and each nonzero coefficient becomes one
+    ``Fraction(factor * total, D_i * D_j)``.
+    """
+    buckets = []
+    for theta in space.basis:
+        if theta.dim != 4:
+            raise DimensionError("quartic constraints live in dimension 4")
+        if any(len(idx) != 1 for _, idx in theta.terms):
+            raise PreconditionError("quartic constraints need a space of 1-forms")
+        denom, terms = _integer_terms(exterior_derivative(theta))
+        by_pair = {}
+        for exp, idx, c in terms:
+            by_pair.setdefault(idx, []).append((exp, c))
+        buckets.append((denom, by_pair))
     per_monomial = {}
-    for i in range(m):
-        for j in range(i, m):
-            product = wedge_forms(differentials[i], differentials[j])
+    for i, (d_i, left) in enumerate(buckets):
+        for j in range(i, len(buckets)):
+            d_j, right = buckets[j]
+            totals = {}
+            for ab, cd, sign in _COMPLEMENTARY_PAIRS:
+                if ab not in left or cd not in right:
+                    continue
+                for ea, ca in left[ab]:
+                    if sign < 0:
+                        ca = -ca
+                    for eb, cb in right[cd]:
+                        exp = tuple(map(add, ea, eb))
+                        totals[exp] = totals.get(exp, 0) + ca * cb
             factor = 1 if i == j else 2
-            for (exp, idx), c in product.terms.items():
-                per_monomial.setdefault((exp, idx), {})[(i, j)] = factor * c
-    parameters = tuple(f"c{i + 1}" for i in range(m))
-    constraints = tuple(per_monomial[key] for key in sorted(per_monomial))
+            for exp, total in totals.items():
+                if total:
+                    per_monomial.setdefault(exp, {})[(i, j)] = Fraction(
+                        factor * total, d_i * d_j)
+    parameters = tuple(f"c{i + 1}" for i in range(len(buckets)))
+    constraints = tuple(per_monomial[exp] for exp in sorted(per_monomial))
     return QuadraticConstraintSet(parameters=parameters, constraints=constraints)
 
 

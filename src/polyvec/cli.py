@@ -48,6 +48,12 @@ from .classifier import cubic3_catalog, monomial_exponents, quad4_catalog
 
 FORMAT_VERSION = 1
 
+# Largest accepted --dim.  Parsing and most operators do work linear in the
+# dimension for every term, so a huge --dim on a tiny expression must fail
+# at the boundary instead of exhausting memory.  Every catalog (n <= 4) and
+# benchmark input (n <= 8) sits far below it.
+MAX_DIM = 10_000
+
 _VAR_ALIASES = {3: ("x", "y", "z"), 4: ("t", "x", "y", "z")}
 
 
@@ -252,6 +258,14 @@ def format_expr(obj, alias="numeric"):
     Works for poly-vector fields (partials print as d-tokens) and for
     differential forms (covariant slots print with the same d-tokens, which
     is unambiguous inside catalog documents where the kind is recorded).
+
+    Terms are ordered by index tuple, then exponents.  A coefficient renders
+    from its numerator and denominator alone, with no Fraction arithmetic:
+    its sign becomes the joining ``-``, and its magnitude prints as
+    ``str(num)`` when the denominator is 1 and ``num/den`` otherwise, left
+    out when it is 1 and the term has another factor.  Each monomial string
+    is built once per exponent tuple and each wedge of partials once per
+    index tuple.
     """
     dim = obj.dim
     if alias == "numeric":
@@ -268,28 +282,32 @@ def format_expr(obj, alias="numeric"):
 
     if not obj.terms:
         return "0"
-    rendered = []
-    ordered = sorted(obj.terms.items(), key=lambda item: (item[0][1], item[0][0]))
-    for (exp, idx), coeff in ordered:
-        factors = []
-        for m, e in enumerate(exp):
-            if e == 1:
-                factors.append(var_names[m])
-            elif e > 1:
-                factors.append(f"{var_names[m]}^{e}")
-        partial = "/\\".join(partial_names[j - 1] for j in idx)
-        magnitude = abs(coeff)
-        body = "*".join(factors)
-        if magnitude != 1 or not (body or partial):
-            body = "*".join(s for s in (str(magnitude), body) if s)
-        if partial:
-            body = "*".join(s for s in (body, partial) if s)
-        rendered.append((coeff < 0, body))
-    first_negative, first_body = rendered[0]
-    out = ("-" if first_negative else "") + first_body
-    for negative, body in rendered[1:]:
-        out += (" - " if negative else " + ") + body
-    return out
+    pieces = []
+    monomials = {}
+    last_idx = partial = None
+    for idx, exp, coeff in sorted([(idx, exp, c) for (exp, idx), c in obj.terms.items()]):
+        monomial = monomials.get(exp)
+        if monomial is None:
+            monomial = monomials[exp] = "*".join([
+                var_names[m] if e == 1 else f"{var_names[m]}^{e}"
+                for m, e in enumerate(exp) if e])
+        if idx != last_idx:
+            last_idx = idx
+            partial = "/\\".join([partial_names[j - 1] for j in idx])
+        body = (f"{monomial}*{partial}" if monomial else partial) if partial else monomial
+        num, den = coeff.numerator, coeff.denominator
+        if num < 0:
+            pieces.append(" - ")
+            num = -num
+        else:
+            pieces.append(" + ")
+        if den != 1:
+            body = f"{num}/{den}*{body}" if body else f"{num}/{den}"
+        elif num != 1 or not body:
+            body = f"{num}*{body}" if body else str(num)
+        pieces.append(body)
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 def parse_matrix(text):
@@ -533,6 +551,8 @@ def run(argv, out=None, err=None):
 
 def _dispatch(args, out):
     cmd = args.command
+    if args.dim > MAX_DIM:
+        raise DimensionError(f"ambient dimension must be <= {MAX_DIM}, got {args.dim}")
     if cmd == "selftest":
         return run_selftest(out)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateNormalizerError, ParityError
-from .fields import BiDegree, PolyVectorField, euler, schouten, wedge
+from .fields import BiDegree, PolyVectorField, euler, radial_field, schouten, wedge
 from .duality import trace_d
 
 
@@ -48,20 +48,25 @@ def decompose(a):
 
 
 def _wedge_scaled(scalar, u, v):
+    """scalar * (u /\\ v), scaling the operand with fewer terms."""
     if not scalar or u.is_zero() or v.is_zero():
         return PolyVectorField.zero(u.dim)
-    return wedge(u, v).scale(scalar)
+    if len(u.terms) <= len(v.terms):
+        return wedge(u.scale(scalar), v)
+    return wedge(u, v.scale(scalar))
 
 
 def _euler_term(scalar, field, n, k2, ell2):
     """scalar * (field /\\ e^(k2,l2)), building the radial factor lazily so
-    vanishing terms never hit a degenerate normalizer."""
+    vanishing terms never hit a degenerate normalizer.  The scalar and the
+    normalizer 1/(n + k2 - l2) go into one scale of the n-term radial field,
+    so the product is never scaled again."""
     if not scalar or field.is_zero():
         return PolyVectorField.zero(n)
     if n + k2 - ell2 == 0:
         raise DegenerateNormalizerError(
             f"nonzero term requires e^({k2},{ell2}) in dimension {n}")
-    return wedge(field, euler(n, k2, ell2)).scale(scalar)
+    return wedge(field, radial_field(n).scale(Fraction(scalar, n + k2 - ell2)))
 
 
 def bracket_parts(a, b):
@@ -110,7 +115,7 @@ def bracket_parts(a, b):
     tracefree += _euler_term(c_ba, bracket_a0_db, n, k2, ell2)
     tracefree += _euler_term(-sgn * c_ab, bracket_da_b0, n, k2, ell2)
 
-    trace = bracket_a0_db - bracket_da_b0.scale(sgn)
+    trace = bracket_a0_db - bracket_da_b0 if sgn > 0 else bracket_a0_db + bracket_da_b0
     d12 = d1 + d2
     c_mix = Fraction((n + d12) * (d1 - d2), (n + d1) * (n + d2))
     trace -= _wedge_scaled(c_mix, da, db)

@@ -133,9 +133,7 @@ class _SparseTerms:
             raise DimensionError(f"ambient dimension must be >= 1, got {dim}")
         canonical = {}
         for (exp, idx), coeff in (terms or {}).items():
-            coeff = _frac(coeff)
-            if not coeff:
-                continue
+            # the key is checked even when the coefficient is zero
             exp = tuple(map(index, exp))
             if len(exp) != dim or any(e < 0 for e in exp):
                 raise DimensionError(f"bad exponent tuple {exp} for dimension {dim}")
@@ -143,6 +141,9 @@ class _SparseTerms:
             if (any(j < 1 or j > dim for j in idx)
                     or (self._overlong_raises and len(idx) > dim)):
                 raise DimensionError(f"{self._index_kind} index out of range in {idx}")
+            coeff = _frac(coeff)
+            if not coeff:
+                continue
             sign, idx = _sort_with_sign(idx)
             if sign:
                 _accumulate(canonical, (exp, idx), coeff if sign > 0 else -coeff)
@@ -179,10 +180,14 @@ class _SparseTerms:
         return self._from_canonical(self.dim, terms)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_dim(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            _accumulate(terms, key, -c)
+        return self._from_canonical(self.dim, terms)
 
     def __neg__(self):
-        return self.scale(-1)
+        return self._from_canonical(self.dim, {k: -v for k, v in self.terms.items()})
 
     def scale(self, c):
         c = _frac(c)
@@ -206,19 +211,32 @@ class _SparseTerms:
         """The one wedge kernel, for fields, forms and 0-vector polynomials
         alike: exponents add, index tuples shuffle-merge with their sign and
         a shared index kills the pair.  The result has the type of ``self``.
+
+        It works in exact integers: each operand's coefficients go over their
+        common denominator once (``_integer_terms``), ``merge_indices`` runs
+        once per pair of index tuples (memoised for the call), exponents add
+        with ``map(add, ...)``, and each nonzero output total becomes one
+        ``Fraction`` at the end (``_fractions``).
         """
         self._check_dim(other)
-        terms = {}
-        for (ea, ia), ca in self.terms.items():
-            for (eb, ib), cb in other.terms.items():
-                merged = merge_indices(ia, ib)
+        da, us = _integer_terms(self)
+        db, vs = _integer_terms(other)
+        totals, merges = {}, {}
+        for ea, ia, ca in us:
+            row = merges.get(ia)
+            if row is None:
+                row = merges[ia] = {}
+            for eb, ib, cb in vs:
+                merged = row.get(ib, False)
+                if merged is False:
+                    merged = row[ib] = merge_indices(ia, ib)
                 if merged is None:
                     continue
                 sign, idx = merged
-                c = ca * cb
-                _accumulate(terms, (tuple(x + y for x, y in zip(ea, eb)), idx),
-                            c if sign > 0 else -c)
-        return self._from_canonical(self.dim, terms)
+                key = (tuple(map(add, ea, eb)), idx)
+                value = ca * cb
+                totals[key] = totals.get(key, 0) + (value if sign > 0 else -value)
+        return self._from_canonical(self.dim, _fractions(totals, da * db))
 
     def __repr__(self):
         name = type(self).__name__
@@ -297,6 +315,15 @@ def wedge(u, v):
     """Wedge product; adds bidegrees and is graded-commutative in the
     natural degree: ``u /\\ v = (-1)^(l l') v /\\ u``."""
     return u._wedge(v)
+
+
+def _fractions(totals, denom):
+    """Integer totals over the common denominator ``denom`` as canonical
+    nonzero Fractions, one per nonzero total; ``Fraction(t)`` skips the gcd
+    when there is nothing to reduce."""
+    if denom == 1:
+        return {key: Fraction(t) for key, t in totals.items() if t}
+    return {key: Fraction(t, denom) for key, t in totals.items() if t}
 
 
 def _integer_terms(u):
@@ -378,9 +405,7 @@ def schouten(u, v):
     totals, merges = {}, {}
     _slot_derivatives(totals, merges, us, _derivative_buckets(u.dim, vs), False)
     _slot_derivatives(totals, merges, vs, _derivative_buckets(u.dim, us), True)
-    denom = du * dv
-    return PolyVectorField._from_canonical(
-        u.dim, {key: Fraction(total, denom) for key, total in totals.items() if total})
+    return PolyVectorField._from_canonical(u.dim, _fractions(totals, du * dv))
 
 
 def radial_field(n):

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,6 +160,24 @@ def test_run_error_paths():
     assert call(["no-such-command"])[0] == 2
     code, _, err = call(["rank", "--dim", "0", "x1*d1/\\d2"])
     assert (code, err) == (2, "error: ambient dimension must be >= 1, got 0\n")
+
+
+def test_run_dimension_cap_fails_before_parsing(monkeypatch):
+    assert cli.MAX_DIM >= 2000
+    assert call(["rank", "--dim", str(cli.MAX_DIM), "d1/\\d2"])[:2] == (0, "2")
+
+    def no_parse(text, n):
+        raise AssertionError("parsed an expression over the dimension cap")
+
+    monkeypatch.setattr(cli, "parse_field", no_parse)
+    for argv in (["rank", "--dim", "1000000", "d1/\\d2"],
+                 ["wedge", "--dim", str(cli.MAX_DIM + 1), "d1", "d2"],
+                 ["rmatrix", "--dim", "1000000", "--terms", "1,1,2,2:1"]):
+        start = time.perf_counter()
+        code, text, err = call(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, text) == (2, "")
+        assert err == f"error: ambient dimension must be <= {cli.MAX_DIM}, got {argv[2]}\n"
 
 
 def test_run_rank_works_on_the_support_only():

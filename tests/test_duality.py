@@ -284,6 +284,17 @@ def test_sparse_non_integral_exponents_and_indices_raise(cls, product):
     assert cls(2, {((True, 0), (2,)): 1}).terms == {((1, 0), (2,)): Fraction(1)}
 
 
+@SPARSE_KINDS
+def test_sparse_zero_coefficient_keys_are_checked(cls, product):
+    with pytest.raises(TypeError):
+        cls(2, {((1.5, 0), (1,)): 0})
+    with pytest.raises(DimensionError):
+        cls(2, {((1, 0, 0, 0), (9,)): 0})
+    with pytest.raises(DimensionError):
+        cls(2, {((0, 0), (3,)): Fraction(0)})
+    assert cls(2, {((1, 0), (1,)): 0, ((0, 1), (2,)): 1}).terms == {((0, 1), (2,)): Fraction(1)}
+
+
 def test_sparse_overlong_index_tuple_form_raises_field_drops():
     terms = {((0, 0), (1, 2, 1)): 1, ((1, 0), (2,)): 1}
     with pytest.raises(DimensionError):

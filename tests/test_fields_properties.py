@@ -1,4 +1,5 @@
-"""Properties of the Schouten bracket, checked with hypothesis.
+"""Properties of the Schouten bracket, the wedge kernel and the printer,
+checked with hypothesis.
 
 Every property runs derandomized, so the examples are the same on each run.
 """
@@ -6,10 +7,10 @@ Every property runs derandomized, so the examples are the same on each run.
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from polyvec import PolyVectorField, schouten
-from util import schouten_pairwise, sgn
+from polyvec import PolyDifferentialForm, PolyVectorField, format_expr, parse_field, schouten
+from util import format_expr_fraction, schouten_pairwise, sgn, wedge_pairwise
 
 COEFFICIENTS = st.builds(
     Fraction,
@@ -18,17 +19,23 @@ COEFFICIENTS = st.builds(
 )
 
 
+# negative, fractional, unit and constant coefficients for the printer
+PRINTED_COEFFICIENTS = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(10), Fraction(-1, 2)]),
+    COEFFICIENTS)
+
+
 @st.composite
-def fields(draw, n, ell=None, max_terms=6):
-    """A field on R^n with terms of polynomial degree 0..3; with ``ell`` all
-    terms have that vector degree, otherwise the vector degrees mix."""
+def fields(draw, n, ell=None, max_terms=6, cls=PolyVectorField, coefficients=COEFFICIENTS):
+    """A field (or form) on R^n with terms of polynomial degree 0..3; with
+    ``ell`` all terms have that vector degree, otherwise the degrees mix."""
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         exp = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
         degree = draw(st.integers(0, n)) if ell is None else ell
         idx = draw(st.sampled_from(list(combinations(range(1, n + 1), degree))))
-        terms[(exp, idx)] = draw(COEFFICIENTS)
-    return PolyVectorField(n, terms)
+        terms[(exp, idx)] = draw(coefficients)
+    return cls(n, terms)
 
 
 @st.composite
@@ -54,3 +61,59 @@ def test_schouten_is_graded_antisymmetric(pair):
     shift_u = len(next(iter(u.terms))[1]) - 1 if u.terms else 0
     shift_v = len(next(iter(v.terms))[1]) - 1 if v.terms else 0
     assert schouten(u, v) == schouten(v, u).scale(-sgn(shift_u * shift_v))
+
+
+@st.composite
+def wedge_operands(draw, count, homogeneous_vectors=False):
+    """``count`` operands of one kind (fields or forms) on one R^n."""
+    n = draw(st.integers(1, 6))
+    cls = draw(st.sampled_from([PolyVectorField, PolyDifferentialForm]))
+    return [draw(fields(n, draw(st.integers(0, n)) if homogeneous_vectors else None,
+                        max_terms=5, cls=cls))
+            for _ in range(count)]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(wedge_operands(2))
+def test_wedge_equals_pairwise_oracle(pair):
+    u, v = pair
+    assert u._wedge(v) == wedge_pairwise(u, v)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(wedge_operands(2, homogeneous_vectors=True))
+def test_wedge_is_graded_commutative(pair):
+    u, v = pair
+    ell_u = len(next(iter(u.terms))[1]) if u.terms else 0
+    ell_v = len(next(iter(v.terms))[1]) if v.terms else 0
+    assert u._wedge(v) == v._wedge(u).scale(sgn(ell_u * ell_v))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(wedge_operands(3))
+def test_wedge_is_associative(triple):
+    u, v, w = triple
+    assert u._wedge(v)._wedge(w) == u._wedge(v._wedge(w))
+
+
+@st.composite
+def printed_fields(draw):
+    """A field with printer-relevant coefficients and the alias modes that
+    fit its dimension."""
+    n = draw(st.integers(1, 5))
+    field = draw(fields(n, max_terms=8, coefficients=PRINTED_COEFFICIENTS))
+    alias = draw(st.sampled_from({3: ["numeric", "xyz"], 4: ["numeric", "txyz"]}.get(
+        n, ["numeric"])))
+    return field, alias
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(printed_fields())
+@example((PolyVectorField.constant(-1, 3), "xyz"))
+@example((PolyVectorField.constant(Fraction(3, 7), 4), "txyz"))
+@example((parse_field("-x1 + 1 - d1 - 1/2*x2*d1/\\d2", 2), "numeric"))
+def test_format_expr_equals_fraction_oracle_and_parses_back(case):
+    field, alias = case
+    text = format_expr(field, alias)
+    assert text == format_expr_fraction(field, alias)
+    assert parse_field(text, field.dim) == field

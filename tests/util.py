@@ -11,6 +11,10 @@ from polyvec import (
     monomial_exponents,
     parse_field,
 )
+from polyvec.classifier import QuadraticConstraintSet
+from polyvec.cli import _VAR_ALIASES
+from polyvec.duality import exterior_derivative
+from polyvec.errors import PolyvecError
 from polyvec.fields import _accumulate, merge_indices
 
 
@@ -131,6 +135,86 @@ def schouten_pairwise(u, v):
                 exp = tuple(x + y for x, y in zip(new_ea, eb))
                 _accumulate(terms, (exp, idx), outer * sign * factor * cab)
     return PolyVectorField._from_canonical(u.dim, terms)
+
+
+def wedge_pairwise(u, v):
+    """Reference wedge product: every term pair, one Fraction product per
+    pair.  Same contract as ``fields._SparseTerms._wedge``; kept only as an
+    oracle."""
+    u._check_dim(v)
+    terms = {}
+    for (ea, ia), ca in u.terms.items():
+        for (eb, ib), cb in v.terms.items():
+            merged = merge_indices(ia, ib)
+            if merged is None:
+                continue
+            sign, idx = merged
+            c = ca * cb
+            _accumulate(terms, (tuple(x + y for x, y in zip(ea, eb)), idx),
+                        c if sign > 0 else -c)
+    return u._from_canonical(u.dim, terms)
+
+
+def format_expr_fraction(obj, alias="numeric"):
+    """Reference rendering: ``abs(coeff)`` and ``coeff < 0`` through Fraction
+    arithmetic per term.  Same contract as ``cli.format_expr``; kept only as
+    an oracle."""
+    dim = obj.dim
+    if alias == "numeric":
+        var_names = [f"x{i}" for i in range(1, dim + 1)]
+        partial_names = [f"d{i}" for i in range(1, dim + 1)]
+    elif alias in ("xyz", "txyz"):
+        letters = _VAR_ALIASES.get(dim)
+        if letters is None or len(letters) != (3 if alias == "xyz" else 4):
+            raise PolyvecError(f"alias {alias!r} does not fit dimension {dim}")
+        var_names = list(letters)
+        partial_names = ["d" + name for name in letters]
+    else:
+        raise PolyvecError(f"unknown alias mode {alias!r}")
+
+    if not obj.terms:
+        return "0"
+    rendered = []
+    ordered = sorted(obj.terms.items(), key=lambda item: (item[0][1], item[0][0]))
+    for (exp, idx), coeff in ordered:
+        factors = []
+        for m, e in enumerate(exp):
+            if e == 1:
+                factors.append(var_names[m])
+            elif e > 1:
+                factors.append(f"{var_names[m]}^{e}")
+        partial = "/\\".join(partial_names[j - 1] for j in idx)
+        magnitude = abs(coeff)
+        body = "*".join(factors)
+        if magnitude != 1 or not (body or partial):
+            body = "*".join(s for s in (str(magnitude), body) if s)
+        if partial:
+            body = "*".join(s for s in (body, partial) if s)
+        rendered.append((coeff < 0, body))
+    first_negative, first_body = rendered[0]
+    out = ("-" if first_negative else "") + first_body
+    for negative, body in rendered[1:]:
+        out += (" - " if negative else " + ") + body
+    return out
+
+
+def quartic_constraints_by_wedge(space):
+    """Reference quartic constraints: one wedge product per parameter pair
+    through ``wedge_pairwise``.  Same contract as
+    ``classifier.quartic_constraints``; kept only as an oracle."""
+    basis = list(space.basis)
+    m = len(basis)
+    differentials = [exterior_derivative(th) for th in basis]
+    per_monomial = {}
+    for i in range(m):
+        for j in range(i, m):
+            product = wedge_pairwise(differentials[i], differentials[j])
+            factor = 1 if i == j else 2
+            for (exp, idx), c in product.terms.items():
+                per_monomial.setdefault((exp, idx), {})[(i, j)] = factor * c
+    parameters = tuple(f"c{i + 1}" for i in range(m))
+    constraints = tuple(per_monomial[key] for key in sorted(per_monomial))
+    return QuadraticConstraintSet(parameters=parameters, constraints=constraints)
 
 
 def rref_dense(rows):
