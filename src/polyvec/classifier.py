@@ -342,16 +342,18 @@ def quad4_catalog(a_matrix):
 
     Generators are built from the kernel basis elements whose own square
     already satisfies condition (ii); families with genuine quadratic
-    constraints are reported through the constraint set instead.
+    constraints are reported through the constraint set instead.  The
+    constraints carry a c_i^2 coefficient exactly where d theta_i /\\
+    d theta_i is nonzero, so that test needs no further wedge.
     """
     kernel = compatible_cubic_oneforms(a_matrix)
     constraints = quartic_constraints(kernel)
+    nonzero_squares = {i for c in constraints.constraints for i, j in c if i == j}
     tracefree = tuple(from_form(exterior_derivative(th)) for th in kernel.basis)
     generators = []
     flags = []
-    for theta in kernel.basis:
-        dtheta = exterior_derivative(theta)
-        if wedge_forms(dtheta, dtheta).is_zero():
+    for i, theta in enumerate(kernel.basis):
+        if i not in nonzero_squares:
             # build_quadratic_poisson has already checked the Poisson flag
             pi = build_quadratic_poisson(theta, a_matrix)
             generators.append(pi)

@@ -17,14 +17,12 @@ to minus ``d1/\\d2``.  Coordinate aliases follow the printed dictionaries:
 import argparse
 import functools
 import json
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from . import __version__
-from .errors import DimensionError, ParseError, PolyvecError, PreconditionError
+from . import __version__, invariants
+from .errors import DimensionError, DomainError, ParseError, PolyvecError, PreconditionError
 from .fields import (
     LinearMatrix,
     PolyVectorField,
@@ -33,8 +31,8 @@ from .fields import (
     schouten,
     wedge,
 )
-from .duality import dim_irrep, exterior_derivative, from_form, to_form, trace_d
-from .decomposition import bracket_parts, decompose
+from .duality import dim_irrep, trace_d
+from .decomposition import decompose
 from .structures import (
     JacobiPair,
     RMatrix,
@@ -44,7 +42,7 @@ from .structures import (
     is_poisson,
     r_matrix_to_bivector,
 )
-from .classifier import cubic3_catalog, monomial_exponents, quad4_catalog
+from .classifier import cubic3_catalog, quad4_catalog
 
 FORMAT_VERSION = 1
 
@@ -53,6 +51,12 @@ FORMAT_VERSION = 1
 # at the boundary instead of exhausting memory.  Every catalog (n <= 4) and
 # benchmark input (n <= 8) sits far below it.
 MAX_DIM = 10_000
+
+# Largest accepted degree of a parsed term (the sum of its exponents) and of
+# dim-irrep's k: operators raise evaluation points to these powers, so
+# x1^100000000 must fail at the boundary.  Catalog and benchmark inputs have
+# degree <= 3.
+MAX_DEGREE = 1_000
 
 _VAR_ALIASES = {3: ("x", "y", "z"), 4: ("t", "x", "y", "z")}
 
@@ -72,6 +76,8 @@ _TOKEN_SYMBOLS = ("+", "-", "*", "^")
 
 
 def _tokenize(text):
+    # int() refuses a digit run past the interpreter's int/str limit (0 means none)
+    max_digits = sys.get_int_max_str_digits()
     tokens = []
     i = 0
     while i < len(text):
@@ -91,10 +97,12 @@ def _tokenize(text):
                 tokens.append(("SLASH", "/", i))
                 i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
+            if max_digits and j - i > max_digits:
+                raise ParseError(f"integer exceeds the limit of {max_digits} digits", i)
             tokens.append(("INT", text[i:j], i))
             i = j
             continue
@@ -102,6 +110,8 @@ def _tokenize(text):
             j = i
             while j < len(text) and (text[j].isalnum()):
                 j += 1
+            if max_digits and j - i > max_digits:
+                raise ParseError(f"name exceeds the limit of {max_digits} digits", i)
             tokens.append(("NAME", text[i:j], i))
             i = j
             continue
@@ -158,6 +168,7 @@ class _Parser:
     def parse_term(self, sign):
         coeff = Fraction(sign)
         exponents = [0] * self.dim
+        degree = 0
         partials = []
         first = True
         while True:
@@ -176,6 +187,10 @@ class _Parser:
                 if e is not None:
                     var, power = e
                     exponents[var - 1] += power
+                    degree += power
+                    if degree > MAX_DEGREE:
+                        raise ParseError(
+                            f"term degree exceeds the limit of {MAX_DEGREE}", factor_at)
                 if p is not None:
                     partials.append(p)
             else:
@@ -222,7 +237,7 @@ class _Parser:
             return self.var_aliases[name], False
         if name in self.partial_aliases:
             return self.partial_aliases[name], True
-        if name[0] in ("x", "d") and name[1:].isdigit():
+        if name[0] in ("x", "d") and name[1:].isdecimal():
             index = int(name[1:])
             if not 1 <= index <= self.dim:
                 raise ParseError(
@@ -252,6 +267,12 @@ def parse_field(text, n):
     return parse_expr(text, n).to_field()
 
 
+def _digit_limit_error():
+    return PolyvecError(
+        "the result has an integer past the interpreter's limit of "
+        f"{sys.get_int_max_str_digits()} digits for int/str conversion")
+
+
 def format_expr(obj, alias="numeric"):
     """Deterministic canonical rendering; parse(format(x)) gives x back.
 
@@ -265,7 +286,8 @@ def format_expr(obj, alias="numeric"):
     ``str(num)`` when the denominator is 1 and ``num/den`` otherwise, left
     out when it is 1 and the term has another factor.  Each monomial string
     is built once per exponent tuple and each wedge of partials once per
-    index tuple.
+    index tuple.  A result with an integer past the interpreter's int/str
+    digit limit raises ``PolyvecError``.
     """
     dim = obj.dim
     if alias == "numeric":
@@ -285,29 +307,45 @@ def format_expr(obj, alias="numeric"):
     pieces = []
     monomials = {}
     last_idx = partial = None
-    for idx, exp, coeff in sorted([(idx, exp, c) for (exp, idx), c in obj.terms.items()]):
-        monomial = monomials.get(exp)
-        if monomial is None:
-            monomial = monomials[exp] = "*".join([
-                var_names[m] if e == 1 else f"{var_names[m]}^{e}"
-                for m, e in enumerate(exp) if e])
-        if idx != last_idx:
-            last_idx = idx
-            partial = "/\\".join([partial_names[j - 1] for j in idx])
-        body = (f"{monomial}*{partial}" if monomial else partial) if partial else monomial
-        num, den = coeff.numerator, coeff.denominator
-        if num < 0:
-            pieces.append(" - ")
-            num = -num
-        else:
-            pieces.append(" + ")
-        if den != 1:
-            body = f"{num}/{den}*{body}" if body else f"{num}/{den}"
-        elif num != 1 or not body:
-            body = f"{num}*{body}" if body else str(num)
-        pieces.append(body)
+    try:
+        for idx, exp, coeff in sorted([(idx, exp, c) for (exp, idx), c in obj.terms.items()]):
+            monomial = monomials.get(exp)
+            if monomial is None:
+                monomial = monomials[exp] = "*".join([
+                    var_names[m] if e == 1 else f"{var_names[m]}^{e}"
+                    for m, e in enumerate(exp) if e])
+            if idx != last_idx:
+                last_idx = idx
+                partial = "/\\".join([partial_names[j - 1] for j in idx])
+            body = (f"{monomial}*{partial}" if monomial else partial) if partial else monomial
+            num, den = coeff.numerator, coeff.denominator
+            if num < 0:
+                pieces.append(" - ")
+                num = -num
+            else:
+                pieces.append(" + ")
+            if den != 1:
+                body = f"{num}/{den}*{body}" if body else f"{num}/{den}"
+            elif num != 1 or not body:
+                body = f"{num}*{body}" if body else str(num)
+            pieces.append(body)
+    except ValueError:
+        raise _digit_limit_error() from None
     pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)
+
+
+def _rational_literal(text):
+    """``Fraction(text)`` for a matrix or r-matrix entry.  Fraction expands a
+    decimal exponent into 10**exp, work that grows without bound with the
+    exponent, so an exponent past the interpreter's int/str digit limit is
+    refused first; its power of ten could not be printed anyway."""
+    max_digits = sys.get_int_max_str_digits()
+    _, marker, exponent = text.lower().partition("e")
+    if (max_digits and marker and exponent.strip().lstrip("+-").replace("_", "").isdecimal()
+            and abs(int(exponent)) > max_digits):
+        raise ParseError(f"decimal exponent exceeds the limit of {max_digits} digits")
+    return Fraction(text)
 
 
 def parse_matrix(text):
@@ -318,7 +356,7 @@ def parse_matrix(text):
         for entry in chunk.split(","):
             entry = entry.strip()
             try:
-                row.append(Fraction(entry))
+                row.append(_rational_literal(entry))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"bad matrix entry {entry!r}") from exc
         rows.append(row)
@@ -335,7 +373,7 @@ def parse_rmatrix_terms(text, n):
         try:
             indices, _, coeff = chunk.partition(":")
             i, j, k, l = (int(s) for s in indices.split(","))
-            value = Fraction(coeff.strip() or "1")
+            value = _rational_literal(coeff.strip() or "1")
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad r-matrix term {chunk!r}") from exc
         key = ((i, j), (k, l))
@@ -360,6 +398,13 @@ def _constraint_strings(constraints):
 
 
 def catalog_document(case, alias="numeric"):
+    try:
+        return _catalog_document(case, alias)
+    except ValueError:
+        raise _digit_limit_error() from None
+
+
+def _catalog_document(case, alias):
     doc = {
         "format_version": FORMAT_VERSION,
         "tool": "polyvec",
@@ -407,65 +452,15 @@ def reverify_catalog_document(doc):
 # -- selftest ----------------------------------------------------------------
 
 
-def _random_field(rng, n, k, ell, nterms=2):
-    exps = monomial_exponents(n, k)
-    idxs = list(combinations(range(1, n + 1), ell))
-    terms = {}
-    for _ in range(nterms):
-        key = (rng.choice(exps), rng.choice(idxs))
-        terms[key] = terms.get(key, 0) + Fraction(rng.choice([1, 2, -1, -2]), rng.choice([1, 2]))
-    return PolyVectorField(n, terms)
-
-
-def _sgn(e):
-    return 1 if e % 2 == 0 else -1
-
-
-def run_selftest(out):
-    """Condensed randomized invariant suite; raises AssertionError on defect."""
-    rng = random.Random(20240214)
-    checked = 0
-    while checked < 60:
-        n = rng.choice([2, 3, 4])
-        fields = [_random_field(rng, n, rng.randint(0, 3), rng.randint(0, n)) for _ in range(3)]
-        if any(f.is_zero() for f in fields):
-            continue
-        checked += 1
-        u_f, v_f, w_f = fields
-        u, v, w = (next(iter(f.vector_degrees())) - 1 for f in fields)
-        jac = (schouten(u_f, schouten(v_f, w_f)).scale(_sgn(u * w))
-               + schouten(w_f, schouten(u_f, v_f)).scale(_sgn(v * w))
-               + schouten(v_f, schouten(w_f, u_f)).scale(_sgn(u * v)))
-        assert jac.is_zero(), "graded Jacobi identity failed"
-        leib = schouten(u_f, wedge(v_f, w_f)) - wedge(schouten(u_f, v_f), w_f) \
-            - wedge(v_f, schouten(u_f, w_f)).scale(_sgn(u * (v + 1)))
-        assert leib.is_zero(), "graded Leibniz rule failed"
-        lv = v + 1
-        compat = trace_d(wedge(u_f, v_f)) - wedge(trace_d(u_f), v_f).scale(_sgn(lv)) \
-            - wedge(u_f, trace_d(v_f)) - schouten(u_f, v_f).scale(_sgn(lv))
-        assert compat.is_zero(), "trace compatibility identity failed"
-        assert trace_d(u_f) == from_form(exterior_derivative(to_form(u_f))), \
-            "contraction route disagrees with the duality route"
-        assert trace_d(trace_d(u_f)).is_zero(), "trace differential does not square to zero"
-    checked = 0
-    while checked < 25:
-        n = rng.choice([2, 3, 4])
-        k1, l1 = rng.randint(0, 3), rng.randint(0, n)
-        k2, l2 = rng.randint(0, 3), rng.randint(0, n)
-        if n + k1 - l1 == 0 or n + k2 - l2 == 0:
-            continue
-        a = _random_field(rng, n, k1, l1)
-        b = _random_field(rng, n, k2, l2)
-        if a.is_zero() or b.is_zero():
-            continue
-        checked += 1
-        tf, tr = bracket_parts(a, b)
-        parts = decompose(schouten(a, b))
-        assert tf == parts.tracefree and tr == parts.trace, \
-            "bracket decomposition formulas disagree with the direct route"
-    assert dim_irrep(3, 2, 1) == 15 and dim_irrep(3, 2, 2) == 10
-    print("selftest: all invariants hold", file=out)
-    return 0
+def run_selftest(out, err):
+    """Run the condensed invariant suite of ``polyvec.invariants``; exit
+    status 0 when every identity holds, 1 naming each one that fails."""
+    failed = invariants.selftest()
+    for name in failed:
+        print(f"selftest: {name} failed", file=err)
+    if not failed:
+        print("selftest: all invariants hold", file=out)
+    return 1 if failed else 0
 
 
 # -- command line ------------------------------------------------------------
@@ -543,22 +538,32 @@ def run(argv, out=None, err=None):
         return 0 if exc.code in (0, None) else 2
 
     try:
-        return _dispatch(args, out)
+        return _dispatch(args, out, err)
     except PolyvecError as exc:
         print(f"error: {exc}", file=err)
         return 2
 
 
-def _dispatch(args, out):
+_OPERATIONS = {"wedge": wedge, "bracket": schouten, "trace": trace_d}
+
+
+def _dispatch(args, out, err):
     cmd = args.command
     if args.dim > MAX_DIM:
         raise DimensionError(f"ambient dimension must be <= {MAX_DIM}, got {args.dim}")
     if cmd == "selftest":
-        return run_selftest(out)
+        return run_selftest(out, err)
 
     if cmd == "dim-irrep":
+        if args.n > MAX_DIM or args.k > MAX_DEGREE:
+            raise DomainError(f"dim-irrep needs n <= {MAX_DIM} and k <= {MAX_DEGREE}, "
+                              f"got n={args.n}, k={args.k}")
         value = dim_irrep(args.n, args.k, args.l)
-        _emit(args, str(value), {"dim_irrep": value, "n": args.n, "k": args.k, "l": args.l}, out)
+        try:
+            text = str(value)
+        except ValueError:
+            raise _digit_limit_error() from None
+        _emit(args, text, {"dim_irrep": value, "n": args.n, "k": args.k, "l": args.l}, out)
         return 0
 
     if cmd == "classify-cubic3":
@@ -584,19 +589,9 @@ def _dispatch(args, out):
         raise DimensionError(f"ambient dimension must be >= 1, got {args.dim}")
     exprs = [parse_field(e, args.dim) for e in args.expr]
 
-    if cmd == "wedge":
-        result = wedge(*exprs)
-        _emit(args, format_expr(result, args.alias), {"result": format_expr(result, args.alias)}, out)
-        return 0
-
-    if cmd == "bracket":
-        result = schouten(*exprs)
-        _emit(args, format_expr(result, args.alias), {"result": format_expr(result, args.alias)}, out)
-        return 0
-
-    if cmd == "trace":
-        result = trace_d(exprs[0])
-        _emit(args, format_expr(result, args.alias), {"result": format_expr(result, args.alias)}, out)
+    if cmd in _OPERATIONS:
+        rendered = format_expr(_OPERATIONS[cmd](*exprs), args.alias)
+        _emit(args, rendered, {"result": rendered}, out)
         return 0
 
     if cmd == "decompose":

@@ -18,7 +18,6 @@ import pytest
 from polyvec import (
     JacobiPair,
     PolyVectorField,
-    bracket_parts,
     centralizer_kernel,
     compatible_cubic_oneforms,
     cubic3_catalog,
@@ -26,7 +25,6 @@ from polyvec import (
     dim_irrep,
     exterior_derivative,
     format_expr,
-    from_form,
     generic_rank,
     is_jacobi,
     is_poisson,
@@ -38,15 +36,22 @@ from polyvec import (
     pushforward,
     quartic_constraints,
     same_span,
-    schouten,
-    self_bracket_parts,
-    to_form,
     trace_d,
     tracefree_projection,
-    wedge,
     wedge_forms,
 )
 from polyvec.classifier import SolutionSpace
+from polyvec.invariants import (
+    field_failures,
+    pair_failures,
+    random_even_fields,
+    random_fields,
+    random_nonzero,
+    random_pairs,
+    random_triples,
+    self_bracket_failures,
+    triple_failures,
+)
 from test_cli import CANONICAL_FIXTURES, call
 from util import (
     CASE_A12,
@@ -68,9 +73,6 @@ from util import (
     quad4_nilpotent_theta,
     quad4_rotation_family,
     random_invertible,
-    random_nonzero,
-    sgn,
-    shifted_degree,
 )
 
 LEDGER = "MISPRINTS.md"
@@ -81,36 +83,8 @@ LEDGER = "MISPRINTS.md"
 @pytest.mark.criterion(1, "graded identity suite")
 def test_criterion_1_identity_suite():
     started = time.monotonic()
-    rng = random.Random(101)
-    triples = 0
-    while triples < 200:
-        n = rng.choice([2, 3, 4])
-        fields = [random_nonzero(rng, n, rng.randint(0, 3), rng.randint(0, n))
-                  for _ in range(3)]
-        triples += 1
-        uf, vf, wf = fields
-        u, v, w = (shifted_degree(f) for f in fields)
-        jacobi = (schouten(uf, schouten(vf, wf)).scale(sgn(u * w))
-                  + schouten(wf, schouten(uf, vf)).scale(sgn(v * w))
-                  + schouten(vf, schouten(wf, uf)).scale(sgn(u * v)))
-        assert jacobi.is_zero()
-        leibniz = schouten(uf, wedge(vf, wf)) \
-            - wedge(schouten(uf, vf), wf) \
-            - wedge(vf, schouten(uf, wf)).scale(sgn(u * (v + 1)))
-        assert leibniz.is_zero()
-        assert wedge(uf, vf) == wedge(vf, uf).scale(sgn((u + 1) * (v + 1)))
-        lv = v + 1
-        compat = trace_d(wedge(uf, vf)) \
-            - wedge(trace_d(uf), vf).scale(sgn(lv)) \
-            - wedge(uf, trace_d(vf)) \
-            - schouten(uf, vf).scale(sgn(lv))
-        assert compat.is_zero()
-        assert trace_d(schouten(uf, vf)) == \
-            schouten(uf, trace_d(vf)) - schouten(trace_d(uf), vf).scale(sgn(lv))
-        assert schouten(trace_d(uf), uf) == -schouten(uf, trace_d(uf))
-        assert wedge(trace_d(uf), uf) == wedge(uf, trace_d(uf))
-        if (u + 1) % 2 == 0 and schouten(uf, uf).is_zero():
-            assert schouten(trace_d(uf), uf).is_zero()
+    for fields in random_triples(random.Random(101), 200):
+        assert triple_failures(*fields) == []
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"identity suite took {elapsed:.1f}s"
 
@@ -119,14 +93,8 @@ def test_criterion_1_identity_suite():
 
 @pytest.mark.criterion(2, "differential suite")
 def test_criterion_2_differential_suite():
-    rng = random.Random(102)
-    for _ in range(200):
-        n = rng.choice([2, 3, 4])
-        u = random_nonzero(rng, n, rng.randint(0, 3), rng.randint(0, n))
-        assert trace_d(trace_d(u)).is_zero()
-        omega = to_form(u)
-        assert exterior_derivative(exterior_derivative(omega)).is_zero()
-        assert trace_d(u) == from_form(exterior_derivative(to_form(u)))
+    for u in random_fields(random.Random(102), 200):
+        assert field_failures(u) == []
 
 
 # -- criterion 3 -------------------------------------------------------------
@@ -134,34 +102,11 @@ def test_criterion_2_differential_suite():
 @pytest.mark.criterion(3, "bracket decomposition formulas")
 def test_criterion_3_bracket_formulas():
     rng = random.Random(103)
-    pairs = 0
-    while pairs < 100:
-        n = rng.choice([2, 3, 4])
-        k1, l1 = rng.randint(0, 3), rng.randint(0, n)
-        k2, l2 = rng.randint(0, 3), rng.randint(0, n)
-        if n + k1 - l1 == 0 or n + k2 - l2 == 0:
-            continue
-        a = random_nonzero(rng, n, k1, l1)
-        b = random_nonzero(rng, n, k2, l2)
-        pairs += 1
-        tf, tr = bracket_parts(a, b)
-        direct = decompose(schouten(a, b))
-        assert tf == direct.tracefree
-        assert tr == direct.trace
+    for a, b in random_pairs(rng, 100):
+        assert pair_failures(a, b) == []
     # even self-brackets through the specialized self-bracket route
-    count = 0
-    while count < 40:
-        n = rng.choice([2, 3, 4])
-        k = rng.randint(0, 3)
-        ell = rng.choice([x for x in range(0, n + 1, 2)])
-        if n + k - ell == 0:
-            continue
-        a = random_nonzero(rng, n, k, ell)
-        count += 1
-        tf, tr = self_bracket_parts(a)
-        direct = decompose(schouten(a, a))
-        assert tf == direct.tracefree
-        assert tr == direct.trace
+    for a in random_even_fields(rng, 40):
+        assert self_bracket_failures(a) == []
 
 
 # -- criterion 4 -------------------------------------------------------------

@@ -317,6 +317,31 @@ def test_quad4_catalog_document_roundtrip():
         assert trace_d(pi).is_zero()
 
 
+@pytest.mark.parametrize("matrix", [QUAD4_DIAGONAL, QUAD4_NILPOTENT, QUAD4_ROTATION,
+                                    LinearMatrix.diagonal([0, 0, 0, 0])],
+                         ids=["diagonal", "nilpotent", "rotation", "zero"])
+def test_quad4_catalog_wedges_once_per_generator(monkeypatch, matrix):
+    """d theta /\\ d theta = 0 is read off the quartic constraints; the only
+    wedge left is the condition (ii) check of each build_quadratic_poisson."""
+    from polyvec import classifier
+    original_wedge, original_build = classifier.wedge_forms, classifier.build_quadratic_poisson
+    wedges, builds = [], []
+
+    def counting_wedge(a, b):
+        wedges.append(1)
+        return original_wedge(a, b)
+
+    def counting_build(theta, a_matrix):
+        builds.append(1)
+        return original_build(theta, a_matrix)
+
+    monkeypatch.setattr(classifier, "wedge_forms", counting_wedge)
+    monkeypatch.setattr(classifier, "build_quadratic_poisson", counting_build)
+    case = quad4_catalog(matrix)
+    assert len(case.generators) > 0
+    assert len(wedges) == len(builds) == len(case.generators)
+
+
 def test_quad4_equivariance_under_linear_maps():
     rng = random.Random(54)
     for _ in range(2):

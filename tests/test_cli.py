@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from polyvec import (
     ParseError,
     PolyVectorField,
+    PolyvecError,
     PreconditionError,
     format_expr,
     linalg,
@@ -25,7 +27,8 @@ from polyvec.cli import (
     run,
 )
 from polyvec.classifier import cubic3_catalog, quad4_catalog
-from util import CASE_A12, CASE_B2, pv, random_nonzero
+from polyvec.invariants import random_nonzero
+from util import CASE_A12, CASE_B2, pv
 
 
 def call(argv):
@@ -180,6 +183,105 @@ def test_run_dimension_cap_fails_before_parsing(monkeypatch):
         assert err == f"error: ambient dimension must be <= {cli.MAX_DIM}, got {argv[2]}\n"
 
 
+# inputs whose work would grow without bound past a cap
+CAPPED_CALLS = [
+    (["rank", "--dim", "2", "x1^100000000*d1/\\d2"], "term degree exceeds the limit"),
+    (["rank", "--dim", "2", f"x1^{cli.MAX_DEGREE - 1}*x1^2*d1/\\d2"],
+     "term degree exceeds the limit"),
+    (["dim-irrep", "100000000", "100000000", "5"], "dim-irrep needs n <="),
+    (["dim-irrep", str(cli.MAX_DIM + 1), "1", "5"], "dim-irrep needs n <="),
+    (["dim-irrep", "3", str(cli.MAX_DEGREE + 1), "1"], "dim-irrep needs n <="),
+    (["classify-cubic3", "--matrix", "1e999999999,0,0;0,-1,0;0,0,1"],
+     "decimal exponent exceeds the limit"),
+    (["rmatrix", "--dim", "2", "--terms", "1,1,2,2:1E-999_999_999"],
+     "decimal exponent exceeds the limit"),
+]
+
+
+def test_run_degree_and_irrep_caps():
+    assert call(["rank", "--dim", "2", f"x1^{cli.MAX_DEGREE}*d1/\\d2"])[:2] == (0, "2")
+    assert call(["dim-irrep", str(cli.MAX_DIM), "2", "1"])[0] == 0
+    assert call(["dim-irrep", "3", str(cli.MAX_DEGREE), "1"])[0] == 0
+    for argv, message in CAPPED_CALLS:
+        start = time.perf_counter()
+        code, text, err = call(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, text) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+# inputs whose integers pass the interpreter's int/str digit limit, in the
+# expression text or in the result
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+_LONG_LITERAL = "7" * (DIGIT_LIMIT + 1)
+_HALF_LITERAL = "7" * (DIGIT_LIMIT // 2 + 200)
+OVERSIZED_INTEGER_CALLS = [
+    (["wedge", "--dim", "1", _LONG_LITERAL, "1"], "parse"),
+    (["trace", "--dim", "2", "x" + _LONG_LITERAL], "parse"),
+    (["wedge", "--dim", "2", "x1", f"1/{_LONG_LITERAL}*d1"], "parse"),
+    (["wedge", "--dim", "2", "x1", f"x1^{_LONG_LITERAL}"], "parse"),
+    (["wedge", "--dim", "1", _HALF_LITERAL, _HALF_LITERAL], "render"),
+    (["bracket", "--json", "--dim", "2", f"{_HALF_LITERAL}*x1*d2", f"{_HALF_LITERAL}*d1"],
+     "render"),
+    (["rmatrix", "--dim", "2", "--terms", f"1,1,2,2:1e{DIGIT_LIMIT}"], "render"),
+    (["classify-cubic3", "--matrix", f"1e{DIGIT_LIMIT},0,0;0,-1e{DIGIT_LIMIT},0;0,0,0"],
+     "render"),
+    (["dim-irrep", str(cli.MAX_DIM), str(cli.MAX_DEGREE), str(cli.MAX_DIM // 2)], "render"),
+]
+
+
+def test_run_oversized_integers_end_in_one_error_line():
+    for argv, where in OVERSIZED_INTEGER_CALLS:
+        code, text, err = call(argv)
+        assert (code, text) == (2, ""), argv[:2]
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"limit of {DIGIT_LIMIT} digits" in err
+        if where == "parse":
+            assert "(at position " in err
+
+
+def test_format_expr_names_the_digit_limit():
+    field = PolyVectorField.single(2, Fraction(10 ** DIGIT_LIMIT, 3), (1, 0), (2,))
+    with pytest.raises(PolyvecError, match=f"limit of {DIGIT_LIMIT} digits"):
+        format_expr(field)
+
+
+def test_parser_takes_only_decimal_digits():
+    for text in ("x\u00b2*d1", "\u00b2", "d1/\\d\u00b9"):
+        with pytest.raises(ParseError):
+            parse_expr(text, 3)
+    assert parse_field("\u0663*x1", 3) == parse_field("3*x1", 3)
+
+
+def test_no_digit_limit_means_no_digit_cap():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_field("7" * (limit + 1) + "*x1", 1).terms
+        assert parse_matrix(f"1e{limit + 1}").det() == 10 ** (limit + 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["wedge", "--dim", "3", "x1*d1", "d2"], "x1*d1/\\d2"),
+    (["bracket", "--dim", "3", "x1*d2", "x2*d1"], "x1*d1 - x2*d2"),
+    (["trace", "--dim", "3", "--alias", "xyz", "x1*d1 + x2*d2"], "2"),
+])
+def test_run_field_operations_render_once(monkeypatch, argv, expected):
+    original = cli.format_expr
+    calls = []
+
+    def counting(obj, alias="numeric"):
+        calls.append(alias)
+        return original(obj, alias)
+
+    monkeypatch.setattr(cli, "format_expr", counting)
+    assert call(argv) == (0, expected, "")
+    assert call(argv + ["--json"]) == (0, json.dumps({"result": expected}, indent=2), "")
+    assert len(calls) == 2
+
+
 def test_run_rank_works_on_the_support_only():
     """Dimension 2000 with four partial indices in use: at most rank 4, and
     the support block at x3 = 1 already has rank 4."""
@@ -217,9 +319,7 @@ def test_run_reuses_one_parser_with_unchanged_results(capsys):
 
 
 def test_run_selftest():
-    code, text, _ = call(["selftest"])
-    assert code == 0
-    assert "all invariants hold" in text
+    assert call(["selftest"]) == (0, "selftest: all invariants hold", "")
 
 
 def test_matrix_parsing():

@@ -21,7 +21,8 @@ from polyvec import (
     skew_component,
     wedge,
 )
-from util import pv, random_invertible, random_nonzero, sgn, shifted_degree, so3_bivector
+from polyvec.invariants import random_nonzero, random_triples, triple_failures
+from util import pv, random_invertible, so3_bivector
 
 
 def test_wedge_repeated_index_vanishes():
@@ -138,26 +139,8 @@ def test_pushforward_singular_matrix():
 
 
 def test_graded_identities_randomized():
-    rng = random.Random(4)
-    checked = 0
-    while checked < 80:
-        n = rng.choice([2, 3, 4])
-        fields = [random_nonzero(rng, n, rng.randint(0, 3), rng.randint(0, n))
-                  for _ in range(3)]
-        checked += 1
-        uf, vf, wf = fields
-        u, v, w = (shifted_degree(f) for f in fields)
-        jacobi = (schouten(uf, schouten(vf, wf)).scale(sgn(u * w))
-                  + schouten(wf, schouten(uf, vf)).scale(sgn(v * w))
-                  + schouten(vf, schouten(wf, uf)).scale(sgn(u * v)))
-        assert jacobi.is_zero()
-        leibniz = schouten(uf, wedge(vf, wf)) \
-            - wedge(schouten(uf, vf), wf) \
-            - wedge(vf, schouten(uf, wf)).scale(sgn(u * (v + 1)))
-        assert leibniz.is_zero()
-        assert schouten(uf, vf) == schouten(vf, uf).scale(-sgn(u * v))
-        assert wedge(uf, vf) == wedge(vf, uf).scale(sgn((u + 1) * (v + 1)))
-        assert wedge(wedge(uf, vf), wf) == wedge(uf, wedge(vf, wf))
+    for fields in random_triples(random.Random(4), 80):
+        assert triple_failures(*fields) == []
 
 
 def test_bidegree_bookkeeping():

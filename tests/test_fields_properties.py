@@ -10,7 +10,8 @@ from itertools import combinations
 from hypothesis import example, given, settings, strategies as st
 
 from polyvec import PolyDifferentialForm, PolyVectorField, format_expr, parse_field, schouten
-from util import format_expr_fraction, schouten_pairwise, sgn, wedge_pairwise
+from polyvec.invariants import sgn
+from util import format_expr_fraction, schouten_pairwise, wedge_pairwise
 
 COEFFICIENTS = st.builds(
     Fraction,

@@ -30,13 +30,13 @@ from polyvec import (
     trace_d,
     wedge,
 )
+from polyvec.invariants import random_nonzero
 from util import (
     CASE_A12,
     g_ab_bivector,
     generic_rank_by_minors,
     pv,
     random_invertible,
-    random_nonzero,
     so3_bivector,
 )
 from polyvec.classifier import cubic3_catalog

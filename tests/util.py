@@ -1,5 +1,6 @@
-"""Shared builders for the test suite: deterministic random fields and the
-catalog fixtures typed in from the printed tables."""
+"""Shared helpers for the test suite: the reference implementations kept
+as oracles and the catalog fixtures typed in from the printed tables.  The
+seeded random fields live in ``polyvec.invariants``."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,6 @@ from polyvec import (
     LinearMatrix,
     PolyDifferentialForm,
     PolyVectorField,
-    monomial_exponents,
     parse_field,
 )
 from polyvec.classifier import QuadraticConstraintSet
@@ -20,28 +20,6 @@ from polyvec.fields import _accumulate, merge_indices
 
 def pv(text, n):
     return parse_field(text, n)
-
-
-def sgn(e):
-    return 1 if e % 2 == 0 else -1
-
-
-def random_field(rng, n, k, ell, nterms=2):
-    exps = monomial_exponents(n, k)
-    idxs = list(combinations(range(1, n + 1), ell))
-    terms = {}
-    for _ in range(nterms):
-        key = (rng.choice(exps), rng.choice(idxs))
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(
-            rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 1, 2, 3]))
-    return PolyVectorField(n, terms)
-
-
-def random_nonzero(rng, n, k, ell, nterms=2):
-    while True:
-        f = random_field(rng, n, k, ell, nterms)
-        if not f.is_zero():
-            return f
 
 
 def random_invertible(rng, n, bound=3):
@@ -254,10 +232,6 @@ def random_rational_matrix(rng, nrows, ncols, density):
     ``density`` (small numerators and denominators, both signs)."""
     return [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else
              Fraction(0) for _ in range(ncols)] for _ in range(nrows)]
-
-
-def shifted_degree(u):
-    return next(iter(u.vector_degrees())) - 1
 
 
 def so3_bivector():
