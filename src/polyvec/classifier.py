@@ -24,6 +24,7 @@ from . import linalg
 from .fields import (
     LinearMatrix,
     PolyVectorField,
+    _frac,
     _integer_terms,
     _sort_with_sign,
     euler,
@@ -139,7 +140,7 @@ class QuadraticConstraintSet:
     constraints: tuple
 
     def evaluate(self, values):
-        values = [Fraction(v) for v in values]
+        values = [_frac(v) for v in values]
         if len(values) != len(self.parameters):
             raise DimensionError(
                 f"expected {len(self.parameters)} parameter values, got {len(values)}")

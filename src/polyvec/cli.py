@@ -9,28 +9,25 @@ Grammar for field expressions::
             | PARTIAL                d1..dn (+ aliases)
 
 ``/\\`` is the wedge between partial factors; ``*`` is the commutative
-product.  Wedge order is canonicalized with its sign, so ``d2/\\d1`` parses
-to minus ``d1/\\d2``.  Coordinate aliases follow the printed dictionaries:
-(x, y, z) in dimension three and (t, x, y, z) in dimension four.
+product.  The parser sums the terms as written and ``PolyVectorField``
+canonicalizes them once: wedge order is sorted with its sign, so ``d2/\\d1``
+parses to minus ``d1/\\d2``, and a repeated partial or a zero sum drops
+out.  Coordinate aliases follow the printed dictionaries: (x, y, z) in
+dimension three and (t, x, y, z) in dimension four.
 """
 
 import argparse
+import contextlib
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, invariants
 from .errors import DimensionError, DomainError, ParseError, PolyvecError, PreconditionError
-from .fields import (
-    LinearMatrix,
-    PolyVectorField,
-    _accumulate,
-    _sort_with_sign,
-    schouten,
-    wedge,
-)
+from .fields import LinearMatrix, PolyVectorField, schouten, wedge
 from .duality import dim_irrep, trace_d
 from .decomposition import decompose
 from .structures import (
@@ -60,69 +57,43 @@ MAX_DEGREE = 1_000
 
 _VAR_ALIASES = {3: ("x", "y", "z"), 4: ("t", "x", "y", "z")}
 
+# Largest accepted number of terms read times the dimension.  Each term
+# gets an exponent tuple of length n, so this bounds the parser's work and
+# memory.  Catalog and benchmark inputs stay below 400.
+MAX_TERM_CELLS = 1_000_000
 
-def _alias_names(dim):
-    letters = _VAR_ALIASES.get(dim)
-    if letters is None:
-        return {}, {}
-    variables = {name: i + 1 for i, name in enumerate(letters)}
-    partials = {"d" + name: i + 1 for i, name in enumerate(letters)}
-    return variables, partials
+# One match per token: an integer, a name, the wedge or any other non-space
+# character, with the classes of the str methods the grammar is written in
+# (\d is isdecimal, [^\W_] is isalnum).  A name match may start with a
+# non-decimal numeral such as '²'; only a letter starts a name, which
+# _parse_error checks.
+_TOKEN = re.compile(r"\d+|[^\W\d_][^\W_]*|/\\|\S")
+_SYMBOLS = frozenset(("+", "-", "*", "^", "/", "/\\"))
 
 
-# -- tokenizer ---------------------------------------------------------------
-
-_TOKEN_SYMBOLS = ("+", "-", "*", "^")
-
-
-def _tokenize(text):
-    # int() refuses a digit run past the interpreter's int/str limit (0 means none)
+def _parse_error(text, k, message):
+    """The ParseError for ``message`` at token ``k`` of ``text``, or at its
+    end when ``k`` is the token count.  The grammar is defined on a complete
+    scan, so the first scan error anywhere in ``text`` is reported instead:
+    a character no token takes, or an integer or name past the
+    interpreter's int/str digit limit (0 means none)."""
     max_digits = sys.get_int_max_str_digits()
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "/":
-            if i + 1 < len(text) and text[i + 1] == "\\":
-                tokens.append(("WEDGE", "/\\", i))
-                i += 2
-            else:
-                tokens.append(("SLASH", "/", i))
-                i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            if max_digits and j - i > max_digits:
-                raise ParseError(f"integer exceeds the limit of {max_digits} digits", i)
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and (text[j].isalnum()):
-                j += 1
-            if max_digits and j - i > max_digits:
-                raise ParseError(f"name exceeds the limit of {max_digits} digits", i)
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", "", len(text)))
-    return tokens
+    positions = []
+    for match in _TOKEN.finditer(text):
+        token, at = match.group(), match.start()
+        if not (token.isdecimal() or token[0].isalpha() or token in _SYMBOLS):
+            return ParseError(f"unexpected character {token[0]!r}", at)
+        if max_digits and len(token) > max_digits:
+            kind = "integer" if token.isdecimal() else "name"
+            return ParseError(f"{kind} exceeds the limit of {max_digits} digits", at)
+        positions.append(at)
+    return ParseError(message, positions[k] if k < len(positions) else len(text))
 
 
 @dataclass(frozen=True)
 class ExpressionAST:
-    """Canonicalized sum of terms (coefficient, exponents, ascending partials)."""
+    """A parsed field as its sorted terms (coefficient, exponents,
+    ascending partials)."""
 
     dim: int
     terms: tuple
@@ -131,140 +102,96 @@ class ExpressionAST:
         return PolyVectorField(self.dim, {(exp, idx): c for c, exp, idx in self.terms})
 
 
-class _Parser:
-    def __init__(self, text, dim):
-        self.text = text
-        self.dim = dim
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.var_aliases, self.partial_aliases = _alias_names(dim)
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        terms = []
-        sign = 1
-        kind, value, at = self.peek()
-        if kind in ("+", "-"):
-            self.advance()
-            sign = -1 if kind == "-" else 1
-        terms.append(self.parse_term(sign))
-        while True:
-            kind, value, at = self.peek()
-            if kind == "END":
-                break
-            if kind not in ("+", "-"):
-                raise ParseError(f"expected '+' or '-', found {value!r}", at)
-            self.advance()
-            terms.append(self.parse_term(-1 if kind == "-" else 1))
-        return _canonical_ast(self.dim, terms)
-
-    def parse_term(self, sign):
-        coeff = Fraction(sign)
-        exponents = [0] * self.dim
-        degree = 0
-        partials = []
-        first = True
-        while True:
-            kind, value, at = self.peek()
-            if not first:
-                if kind in ("*", "WEDGE"):
-                    self.advance()
-                else:
-                    break
-            factor_kind, factor_value, factor_at = self.peek()
-            if factor_kind == "INT":
-                coeff *= self.parse_rational()
-            elif factor_kind == "NAME":
-                self.advance()
-                e, p = self.parse_name(factor_value, factor_at)
-                if e is not None:
-                    var, power = e
-                    exponents[var - 1] += power
-                    degree += power
-                    if degree > MAX_DEGREE:
-                        raise ParseError(
-                            f"term degree exceeds the limit of {MAX_DEGREE}", factor_at)
-                if p is not None:
-                    partials.append(p)
-            else:
-                raise ParseError(f"expected a factor, found {factor_value!r}", factor_at)
-            first = False
-        return coeff, tuple(exponents), tuple(partials)
-
-    def parse_rational(self):
-        kind, value, at = self.advance()
-        num = int(value)
-        if self.peek()[0] == "SLASH":
-            self.advance()
-            dkind, dvalue, dat = self.peek()
-            if dkind != "INT":
-                raise ParseError("expected an integer denominator", dat)
-            self.advance()
-            den = int(dvalue)
-            if den == 0:
-                raise ParseError("zero denominator", dat)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_name(self, name, at):
-        """Resolve a variable or partial token; returns ((var, power) or None,
-        partial index or None)."""
-        index = self._resolve(name, at)
-        kind, is_partial = index
-        if is_partial:
-            return None, kind
-        power = 1
-        if self.peek()[0] == "^":
-            self.advance()
-            pkind, pvalue, pat = self.peek()
-            if pkind != "INT":
-                raise ParseError("expected an integer exponent after '^'", pat)
-            self.advance()
-            power = int(pvalue)
-            if power < 0:
-                raise ParseError("negative exponent", pat)
-        return (kind, power), None
-
-    def _resolve(self, name, at):
-        if name in self.var_aliases:
-            return self.var_aliases[name], False
-        if name in self.partial_aliases:
-            return self.partial_aliases[name], True
-        if name[0] in ("x", "d") and name[1:].isdecimal():
-            index = int(name[1:])
-            if not 1 <= index <= self.dim:
-                raise ParseError(
-                    f"index {index} out of range for dimension {self.dim}", at)
-            return index, name[0] == "d"
-        raise ParseError(f"unknown name {name!r}", at)
-
-
-def _canonical_ast(dim, raw_terms):
-    collected = {}
-    for coeff, exponents, partials in raw_terms:
-        sign, idx = _sort_with_sign(partials)
-        if sign and coeff:
-            _accumulate(collected, (exponents, idx), coeff if sign > 0 else -coeff)
-    terms = tuple((c, exp, idx) for (exp, idx), c in sorted(collected.items()))
-    return ExpressionAST(dim=dim, terms=terms)
-
-
 def parse_expr(text, n):
-    """Parse a field expression over x1..xn / d1..dn into a canonical AST."""
-    if not text.strip():
-        raise ParseError("empty expression", 0)
-    return _Parser(text, n).parse()
+    """Parse a field expression over x1..xn / d1..dn into its sorted terms."""
+    terms = sorted(parse_field(text, n).terms.items())
+    return ExpressionAST(n, tuple((c, exp, idx) for (exp, idx), c in terms))
 
 
 def parse_field(text, n):
-    return parse_expr(text, n).to_field()
+    """Parse a field expression over x1..xn / d1..dn (grammar above).
+
+    One loop over the tokens sums each term's coefficient under its key as
+    written, partials in the order read; ``PolyVectorField`` is the only
+    canonicalizer: it orders the partials with their sign and drops a
+    repeated partial and a zero sum.
+    """
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    tokens = _TOKEN.findall(text)
+    max_digits = sys.get_int_max_str_digits()
+    if max_digits and max(map(len, tokens)) > max_digits:
+        # an integer or name that int() would refuse is a scan error
+        raise _parse_error(text, 0, "token exceeds the digit limit")
+    tokens.append("")  # the end
+    letters = _VAR_ALIASES.get(n, ())
+    names = {name: (m, False) for m, name in enumerate(letters, 1)}
+    names.update({"d" + name: (m, True) for m, name in enumerate(letters, 1)})
+    raw = {}
+    cells = 0
+    i = 1 if tokens[0] in ("+", "-") else 0
+    sign = -1 if tokens[0] == "-" else 1
+    while True:
+        cells += n
+        if cells > MAX_TERM_CELLS:
+            raise _parse_error(
+                text, i, f"terms times dimension exceed the limit of {MAX_TERM_CELLS}")
+        coeff, exponents, partials, degree = sign, [0] * n, [], 0
+        while True:
+            token = tokens[i]
+            if token.isdecimal():
+                i += 1
+                if tokens[i] == "/":
+                    if not tokens[i + 1].isdecimal():
+                        raise _parse_error(text, i + 1, "expected an integer denominator")
+                    den = int(tokens[i + 1])
+                    if not den:
+                        raise _parse_error(text, i + 1, "zero denominator")
+                    coeff *= Fraction(int(token), den)
+                    i += 2
+                else:
+                    coeff *= int(token)
+            else:
+                ref = names.get(token)
+                if ref is None:
+                    if not token[:1].isalnum():
+                        raise _parse_error(text, i, f"expected a factor, found {token!r}")
+                    if token[0] not in "xd" or not token[1:].isdecimal():
+                        raise _parse_error(text, i, f"unknown name {token!r}")
+                    m = int(token[1:])
+                    if not 1 <= m <= n:
+                        raise _parse_error(
+                            text, i, f"index {m} out of range for dimension {n}")
+                    ref = names[token] = (m, token[0] == "d")
+                m, is_partial = ref
+                at, i = i, i + 1
+                if is_partial:
+                    partials.append(m)
+                else:
+                    power = 1
+                    if tokens[i] == "^":
+                        if not tokens[i + 1].isdecimal():
+                            raise _parse_error(
+                                text, i + 1, "expected an integer exponent after '^'")
+                        power = int(tokens[i + 1])
+                        i += 2
+                    exponents[m - 1] += power
+                    degree += power
+                    if degree > MAX_DEGREE:
+                        raise _parse_error(
+                            text, at, f"term degree exceeds the limit of {MAX_DEGREE}")
+            if tokens[i] != "*" and tokens[i] != "/\\":
+                break
+            i += 1
+        key = (tuple(exponents), tuple(partials))
+        raw[key] = raw.get(key, 0) + coeff
+        if not tokens[i]:
+            break
+        if tokens[i] not in ("+", "-"):
+            raise _parse_error(text, i, f"expected '+' or '-', found {tokens[i]!r}")
+        sign = -1 if tokens[i] == "-" else 1
+        i += 1
+    return PolyVectorField(n, raw)
 
 
 def _digit_limit_error():
@@ -533,7 +460,9 @@ def run(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        # argparse prints usage, errors and --help on sys.stdout / sys.stderr
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 

@@ -100,9 +100,8 @@ def bracket_parts(a, b):
     k2, ell2 = ka + kb, la + lb
     sgn = -1 if lb % 2 else 1
 
-    da, db = trace_d(a), trace_d(b)
-    a0 = a - _euler_term(1, da, n, ka, la)
-    b0 = b - _euler_term(1, db, n, kb, lb)
+    a0, _, da = decompose(a)
+    b0, _, db = decompose(b)
 
     c_ab = Fraction(d2, n + d1)
     c_ba = Fraction(d1, n + d2)
@@ -138,8 +137,7 @@ def self_bracket_parts(a):
         raise ParityError(f"self-bracket decomposition needs even vector degree, got {ell}")
     if n + k - ell == 0:
         raise DegenerateNormalizerError("self-bracket decomposition needs n + k - l != 0")
-    da = trace_d(a)
-    a0 = a - _euler_term(1, da, n, k, ell)
+    a0, _, da = decompose(a)
     c = Fraction(2 * (k - ell), n + k - ell)
     bracket_da_a0 = schouten(da, a0)
     tracefree = schouten(a0, a0)

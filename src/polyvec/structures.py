@@ -8,6 +8,7 @@ two can cross-check each other.
 
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 
 from .errors import (
     DimensionError,
@@ -16,7 +17,7 @@ from .errors import (
     ParityError,
     PreconditionError,
 )
-from .fields import PolyVectorField, _accumulate, euler, schouten, wedge
+from .fields import PolyVectorField, _accumulate, _frac, euler, schouten, wedge
 from . import linalg
 from .duality import trace_d
 from .decomposition import decompose
@@ -60,7 +61,8 @@ class RMatrix:
 
     Stored with one coefficient per ordered pair of matrix units, the pairs
     sorted lexicographically; assigning to a swapped pair flips the sign and
-    E_ij /\\ E_ij drops out.
+    E_ij /\\ E_ij drops out.  Coefficients are exact rationals and unit
+    indices integers; a float in either raises ``TypeError``.
     """
 
     __slots__ = ("dim", "coefficients")
@@ -70,11 +72,11 @@ class RMatrix:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
         canonical = {}
         for (unit_a, unit_b), coeff in (coefficients or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _frac(coeff)
             if not coeff:
                 continue
-            unit_a = tuple(int(t) for t in unit_a)
-            unit_b = tuple(int(t) for t in unit_b)
+            unit_a = tuple(map(index, unit_a))
+            unit_b = tuple(map(index, unit_b))
             for i, j in (unit_a, unit_b):
                 if not (1 <= i <= dim and 1 <= j <= dim):
                     raise DimensionError(f"matrix unit ({i},{j}) out of range")

@@ -255,6 +255,14 @@ def test_constraint_evaluation_matches_direct_square():
         assert constraints.vanishes_at(values) == wedge_forms(dtheta, dtheta).is_zero()
 
 
+def test_constraint_evaluation_refuses_floats():
+    constraints = quartic_constraints(compatible_cubic_oneforms(QUAD4_NILPOTENT))
+    values = [0] * len(constraints.parameters)
+    assert constraints.vanishes_at(values)
+    with pytest.raises(TypeError):
+        constraints.evaluate([0.1] + values[1:])
+
+
 def test_build_quadratic_poisson_exact_form_gives_pure_trace():
     quartic = PolyDifferentialForm(4, {((1, 1, 1, 1), ()): 1})
     theta = exterior_derivative(quartic)

@@ -195,11 +195,16 @@ CAPPED_CALLS = [
      "decimal exponent exceeds the limit"),
     (["rmatrix", "--dim", "2", "--terms", "1,1,2,2:1E-999_999_999"],
      "decimal exponent exceeds the limit"),
+    (["trace", "--dim", "10000", " + ".join(f"x{i}*d1/\\d2" for i in range(1, 3001))],
+     "terms times dimension exceed the limit"),
 ]
 
 
 def test_run_degree_and_irrep_caps():
     assert call(["rank", "--dim", "2", f"x1^{cli.MAX_DEGREE}*d1/\\d2"])[:2] == (0, "2")
+    at_cap = " + ".join(["d1/\\d2"] * (cli.MAX_TERM_CELLS // cli.MAX_DIM))
+    assert call(["rank", "--dim", str(cli.MAX_DIM), at_cap])[:2] == (0, "2")
+    assert call(["rank", "--dim", str(cli.MAX_DIM), at_cap + " - d1/\\d2"])[0] == 2
     assert call(["dim-irrep", str(cli.MAX_DIM), "2", "1"])[0] == 0
     assert call(["dim-irrep", "3", str(cli.MAX_DEGREE), "1"])[0] == 0
     for argv, message in CAPPED_CALLS:
@@ -311,11 +316,22 @@ def test_run_reuses_one_parser_with_unchanged_results(capsys):
         cli._parser.cache_clear()
         fresh.append(outcome(argv))
     assert [o[0] for o in fresh] == [0, 0, 2, 0, 0, 0, 2]
-    assert "unrecognized arguments: --bogus" in fresh[2][4]
-    assert fresh[3][3].startswith("usage: polyvec")
+    assert "unrecognized arguments: --bogus" in fresh[2][2]
+    assert fresh[3][1].startswith("usage: polyvec")
+    assert all(o[3:] == ("", "") for o in fresh)
     assert cli._parser() is cli._parser()
     shared = [outcome(argv) for argv in argvs + argvs]
     assert shared == fresh + fresh
+
+
+def test_run_sends_argparse_output_to_the_given_streams(capsys):
+    code, text, err = call(["rank", "--bogus", "d1"])
+    assert (code, text) == (2, "")
+    assert err.startswith("usage:") and "unrecognized arguments: --bogus" in err
+    code, text, err = call(["--help"])
+    assert (code, err) == (0, "")
+    assert text.startswith("usage: polyvec") and "classify-quad4" in text
+    assert capsys.readouterr() == ("", "")
 
 
 def test_run_selftest():

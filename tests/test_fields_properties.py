@@ -1,16 +1,16 @@
-"""Properties of the Schouten bracket, the wedge kernel and the printer,
-checked with hypothesis.
+"""Properties of the Schouten bracket, the wedge kernel, the bracket
+decomposition and the printer, checked with hypothesis.
 
 Every property runs derandomized, so the examples are the same on each run.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import example, given, settings, strategies as st
 
 from polyvec import PolyDifferentialForm, PolyVectorField, format_expr, parse_field, schouten
-from polyvec.invariants import sgn
+from polyvec.invariants import pair_failures, sgn
 from util import format_expr_fraction, schouten_pairwise, wedge_pairwise
 
 COEFFICIENTS = st.builds(
@@ -62,6 +62,29 @@ def test_schouten_is_graded_antisymmetric(pair):
     shift_u = len(next(iter(u.terms))[1]) - 1 if u.terms else 0
     shift_v = len(next(iter(v.terms))[1]) - 1 if v.terms else 0
     assert schouten(u, v) == schouten(v, u).scale(-sgn(shift_u * shift_v))
+
+
+@st.composite
+def homogeneous_pairs(draw):
+    """Two nonzero homogeneous fields on one R^n with n + k - l != 0 each,
+    the domain of ``bracket_parts``."""
+    n = draw(st.integers(2, 4))
+    bidegrees = st.tuples(st.integers(0, 3), st.integers(0, n)).filter(
+        lambda d: n + d[0] - d[1] != 0)
+    pair = []
+    for k, ell in (draw(bidegrees), draw(bidegrees)):
+        monomials = [e for e in product(range(k + 1), repeat=n) if sum(e) == k]
+        partials = list(combinations(range(1, n + 1), ell))
+        terms = {(draw(st.sampled_from(monomials)), draw(st.sampled_from(partials))):
+                 draw(COEFFICIENTS) for _ in range(draw(st.integers(1, 4)))}
+        pair.append(PolyVectorField(n, terms))
+    return pair
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(homogeneous_pairs())
+def test_bracket_parts_matches_direct_route_on_drawn_pairs(pair):
+    assert pair_failures(*pair) == []
 
 
 @st.composite

@@ -334,6 +334,18 @@ def test_r_matrix_fixtures():
     assert r_matrix_to_bivector(r) == pv("-x1*x2*d1/\\d2", 2)
 
 
+def test_r_matrix_refuses_float_coefficients():
+    with pytest.raises(TypeError):
+        RMatrix(2, {((1, 1), (2, 2)): 0.1})
+    exact = RMatrix(2, {((1, 1), (2, 2)): "1/10"})
+    assert exact.coefficients == {((1, 1), (2, 2)): Fraction(1, 10)}
+
+
+def test_r_matrix_refuses_non_integral_unit_indices():
+    with pytest.raises(TypeError):
+        RMatrix(2, {((1.9, 1), (2, 2)): 1})
+
+
 def test_r_matrix_images_quadratic_and_poisson_in_dim2():
     rng = random.Random(43)
     for _ in range(25):

@@ -2,6 +2,7 @@
 as oracles and the catalog fixtures typed in from the printed tables.  The
 seeded random fields live in ``polyvec.invariants``."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,10 +13,10 @@ from polyvec import (
     parse_field,
 )
 from polyvec.classifier import QuadraticConstraintSet
-from polyvec.cli import _VAR_ALIASES
+from polyvec.cli import _VAR_ALIASES, MAX_DEGREE, ExpressionAST
 from polyvec.duality import exterior_derivative
-from polyvec.errors import PolyvecError
-from polyvec.fields import _accumulate, merge_indices
+from polyvec.errors import ParseError, PolyvecError
+from polyvec.fields import _accumulate, _sort_with_sign, merge_indices
 
 
 def pv(text, n):
@@ -174,6 +175,202 @@ def format_expr_fraction(obj, alias="numeric"):
     for negative, body in rendered[1:]:
         out += (" - " if negative else " + ") + body
     return out
+
+
+# -- reference parser ----------------------------------------------------------
+# The character scanner, token-cursor parser and term canonicalization that
+# ``cli.parse_field`` replaced, kept verbatim as the oracle of the parser
+# tests; ``parse_field_by_tokens`` is the old ``parse_field``.
+
+
+def _alias_names(dim):
+    letters = _VAR_ALIASES.get(dim)
+    if letters is None:
+        return {}, {}
+    variables = {name: i + 1 for i, name in enumerate(letters)}
+    partials = {"d" + name: i + 1 for i, name in enumerate(letters)}
+    return variables, partials
+
+
+_TOKEN_SYMBOLS = ("+", "-", "*", "^")
+
+
+def _tokenize(text):
+    # int() refuses a digit run past the interpreter's int/str limit (0 means none)
+    max_digits = sys.get_int_max_str_digits()
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _TOKEN_SYMBOLS:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch == "/":
+            if i + 1 < len(text) and text[i + 1] == "\\":
+                tokens.append(("WEDGE", "/\\", i))
+                i += 2
+            else:
+                tokens.append(("SLASH", "/", i))
+                i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            if max_digits and j - i > max_digits:
+                raise ParseError(f"integer exceeds the limit of {max_digits} digits", i)
+            tokens.append(("INT", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < len(text) and (text[j].isalnum()):
+                j += 1
+            if max_digits and j - i > max_digits:
+                raise ParseError(f"name exceeds the limit of {max_digits} digits", i)
+            tokens.append(("NAME", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("END", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text, dim):
+        self.text = text
+        self.dim = dim
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.var_aliases, self.partial_aliases = _alias_names(dim)
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        terms = []
+        sign = 1
+        kind, value, at = self.peek()
+        if kind in ("+", "-"):
+            self.advance()
+            sign = -1 if kind == "-" else 1
+        terms.append(self.parse_term(sign))
+        while True:
+            kind, value, at = self.peek()
+            if kind == "END":
+                break
+            if kind not in ("+", "-"):
+                raise ParseError(f"expected '+' or '-', found {value!r}", at)
+            self.advance()
+            terms.append(self.parse_term(-1 if kind == "-" else 1))
+        return _canonical_ast(self.dim, terms)
+
+    def parse_term(self, sign):
+        coeff = Fraction(sign)
+        exponents = [0] * self.dim
+        degree = 0
+        partials = []
+        first = True
+        while True:
+            kind, value, at = self.peek()
+            if not first:
+                if kind in ("*", "WEDGE"):
+                    self.advance()
+                else:
+                    break
+            factor_kind, factor_value, factor_at = self.peek()
+            if factor_kind == "INT":
+                coeff *= self.parse_rational()
+            elif factor_kind == "NAME":
+                self.advance()
+                e, p = self.parse_name(factor_value, factor_at)
+                if e is not None:
+                    var, power = e
+                    exponents[var - 1] += power
+                    degree += power
+                    if degree > MAX_DEGREE:
+                        raise ParseError(
+                            f"term degree exceeds the limit of {MAX_DEGREE}", factor_at)
+                if p is not None:
+                    partials.append(p)
+            else:
+                raise ParseError(f"expected a factor, found {factor_value!r}", factor_at)
+            first = False
+        return coeff, tuple(exponents), tuple(partials)
+
+    def parse_rational(self):
+        kind, value, at = self.advance()
+        num = int(value)
+        if self.peek()[0] == "SLASH":
+            self.advance()
+            dkind, dvalue, dat = self.peek()
+            if dkind != "INT":
+                raise ParseError("expected an integer denominator", dat)
+            self.advance()
+            den = int(dvalue)
+            if den == 0:
+                raise ParseError("zero denominator", dat)
+            return Fraction(num, den)
+        return Fraction(num)
+
+    def parse_name(self, name, at):
+        """Resolve a variable or partial token; returns ((var, power) or None,
+        partial index or None)."""
+        index = self._resolve(name, at)
+        kind, is_partial = index
+        if is_partial:
+            return None, kind
+        power = 1
+        if self.peek()[0] == "^":
+            self.advance()
+            pkind, pvalue, pat = self.peek()
+            if pkind != "INT":
+                raise ParseError("expected an integer exponent after '^'", pat)
+            self.advance()
+            power = int(pvalue)
+            if power < 0:
+                raise ParseError("negative exponent", pat)
+        return (kind, power), None
+
+    def _resolve(self, name, at):
+        if name in self.var_aliases:
+            return self.var_aliases[name], False
+        if name in self.partial_aliases:
+            return self.partial_aliases[name], True
+        if name[0] in ("x", "d") and name[1:].isdecimal():
+            index = int(name[1:])
+            if not 1 <= index <= self.dim:
+                raise ParseError(
+                    f"index {index} out of range for dimension {self.dim}", at)
+            return index, name[0] == "d"
+        raise ParseError(f"unknown name {name!r}", at)
+
+
+def _canonical_ast(dim, raw_terms):
+    collected = {}
+    for coeff, exponents, partials in raw_terms:
+        sign, idx = _sort_with_sign(partials)
+        if sign and coeff:
+            _accumulate(collected, (exponents, idx), coeff if sign > 0 else -coeff)
+    terms = tuple((c, exp, idx) for (exp, idx), c in sorted(collected.items()))
+    return ExpressionAST(dim=dim, terms=terms)
+
+
+def parse_field_by_tokens(text, n):
+    """Reference parser.  Same contract as ``cli.parse_field``; kept only as
+    an oracle."""
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    return _Parser(text, n).parse().to_field()
 
 
 def quartic_constraints_by_wedge(space):
