@@ -209,6 +209,25 @@ def tracefree_projection(space):
     return SolutionSpace(f"trace-free part of {space.ambient}", tuple(fields))
 
 
+def _catalog_case(matrix, kernel, tracefree_basis, constraints, generators):
+    """The stratum's ``ClassificationCase``, each generator verified once:
+    it must be Poisson, and its ``(True, simple, rank)`` flags are recorded."""
+    flags = []
+    for pi in generators:
+        if not is_poisson(pi):
+            raise PreconditionError(
+                "internal check failed: assembled structure is not Poisson")
+        flags.append((True, is_simple(pi), generic_rank(pi)))
+    return ClassificationCase(
+        matrix=matrix,
+        kernel=kernel,
+        tracefree_basis=tuple(tracefree_basis),
+        constraints=constraints,
+        generators=tuple(generators),
+        generator_flags=tuple(flags),
+    )
+
+
 def cubic3_catalog(c_matrix):
     """Simple cubic Poisson structures A0 /\\ (C + e^(3,2)) for one stratum."""
     if c_matrix.dim != 3:
@@ -216,24 +235,15 @@ def cubic3_catalog(c_matrix):
     if c_matrix.trace() != 0:
         raise PreconditionError("stratum matrix must be trace-free")
     kernel = centralizer_kernel(c_matrix, 2)
-    tracefree = tracefree_projection(kernel)
+    tracefree = tracefree_projection(kernel).basis
     pivot = matrix_action_field(c_matrix) + euler(3, 3, 2)
-    generators = []
-    for a0 in tracefree.basis:
-        pi = wedge(a0, pivot)
-        if not (is_poisson(pi) and is_simple(pi) and generic_rank(pi) == 2):
-            raise PreconditionError(
-                "internal check failed: emitted generator is not a simple rank-two "
-                "Poisson structure")
-        generators.append(pi)
-    return ClassificationCase(
-        matrix=c_matrix,
-        kernel=kernel,
-        tracefree_basis=tracefree.basis,
-        constraints=None,
-        generators=tuple(generators),
-        generator_flags=((True, True, 2),) * len(generators),
-    )
+    case = _catalog_case(c_matrix, kernel, tracefree, None,
+                         [wedge(a0, pivot) for a0 in tracefree])
+    if any(flags != (True, True, 2) for flags in case.generator_flags):
+        raise PreconditionError(
+            "internal check failed: emitted generator is not a simple rank-two "
+            "Poisson structure")
+    return case
 
 
 def cubic_oneform_basis():
@@ -267,7 +277,17 @@ _COMPLEMENTARY_PAIRS = tuple(
 
 def quartic_constraints(space):
     """Coefficients of d theta /\\ d theta as quadratics in the family
-    parameters of a cubic 1-form solution space in dimension four.
+    parameters of a cubic 1-form solution space in dimension four."""
+    for theta in space.basis:
+        if theta.dim != 4:
+            raise DimensionError("quartic constraints live in dimension 4")
+        if any(len(idx) != 1 for _, idx in theta.terms):
+            raise PreconditionError("quartic constraints need a space of 1-forms")
+    return _quartic_pairing([exterior_derivative(theta) for theta in space.basis])
+
+
+def _quartic_pairing(dthetas):
+    """Constraints of ``quartic_constraints`` from the 2-forms d theta_i.
 
     The coefficient of c_i c_j (i <= j) is (2 - [i = j]) (d theta_i /\\
     d theta_j)_{1234}, and in dimension four that component is the signed sum
@@ -278,12 +298,8 @@ def quartic_constraints(space):
     ``Fraction(factor * total, D_i * D_j)``.
     """
     buckets = []
-    for theta in space.basis:
-        if theta.dim != 4:
-            raise DimensionError("quartic constraints live in dimension 4")
-        if any(len(idx) != 1 for _, idx in theta.terms):
-            raise PreconditionError("quartic constraints need a space of 1-forms")
-        denom, terms = _integer_terms(exterior_derivative(theta))
+    for dtheta in dthetas:
+        denom, terms = _integer_terms(dtheta)
         by_pair = {}
         for exp, idx, c in terms:
             by_pair.setdefault(idx, []).append((exp, c))
@@ -341,29 +357,20 @@ def build_quadratic_poisson(theta, a_matrix):
 def quad4_catalog(a_matrix):
     """Catalog data for one dimension-four stratum.
 
-    Generators are built from the kernel basis elements whose own square
-    already satisfies condition (ii); families with genuine quadratic
-    constraints are reported through the constraint set instead.  The
-    constraints carry a c_i^2 coefficient exactly where d theta_i /\\
-    d theta_i is nonzero, so that test needs no further wedge.
+    Each generator is Psi^-1(d theta_i) + A /\\ e^(2,2): the trace-free basis
+    element of a kernel element theta_i plus the stratum's one trace term, so
+    condition (i) holds by construction of the kernel.  Generators come from
+    the theta_i whose own square already satisfies condition (ii); families
+    with genuine quadratic constraints are reported through the constraint
+    set instead.  The constraints carry a c_i^2 coefficient exactly where
+    d theta_i /\\ d theta_i is nonzero, so that test needs no further wedge.
     """
     kernel = compatible_cubic_oneforms(a_matrix)
-    constraints = quartic_constraints(kernel)
+    dthetas = [exterior_derivative(theta) for theta in kernel.basis]
+    constraints = _quartic_pairing(dthetas)
     nonzero_squares = {i for c in constraints.constraints for i, j in c if i == j}
-    tracefree = tuple(from_form(exterior_derivative(th)) for th in kernel.basis)
-    generators = []
-    flags = []
-    for i, theta in enumerate(kernel.basis):
-        if i not in nonzero_squares:
-            # build_quadratic_poisson has already checked the Poisson flag
-            pi = build_quadratic_poisson(theta, a_matrix)
-            generators.append(pi)
-            flags.append((True, is_simple(pi), generic_rank(pi)))
-    return ClassificationCase(
-        matrix=a_matrix,
-        kernel=kernel,
-        tracefree_basis=tracefree,
-        constraints=constraints,
-        generators=tuple(generators),
-        generator_flags=tuple(flags),
-    )
+    tracefree = [from_form(dtheta) for dtheta in dthetas]
+    trace_term = wedge(matrix_action_field(a_matrix), euler(4, 2, 2))
+    generators = [pi + trace_term for i, pi in enumerate(tracefree)
+                  if i not in nonzero_squares]
+    return _catalog_case(a_matrix, kernel, tracefree, constraints, generators)

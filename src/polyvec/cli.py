@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, invariants
+from . import __version__, classifier, invariants
 from .errors import DimensionError, DomainError, ParseError, PolyvecError, PreconditionError
 from .fields import LinearMatrix, PolyVectorField, schouten, wedge
 from .duality import dim_irrep, trace_d
@@ -39,7 +39,6 @@ from .structures import (
     is_poisson,
     r_matrix_to_bivector,
 )
-from .classifier import cubic3_catalog, quad4_catalog
 
 FORMAT_VERSION = 1
 
@@ -474,6 +473,9 @@ def run(argv, out=None, err=None):
 
 
 _OPERATIONS = {"wedge": wedge, "bracket": schouten, "trace": trace_d}
+# Catalogs by name, looked up on ``classifier`` per call so that a wrapper
+# bound there (a profiler, a test's monkeypatch) is the one that runs.
+_CATALOGS = {"classify-cubic3": "cubic3_catalog", "classify-quad4": "quad4_catalog"}
 
 
 def _dispatch(args, out, err):
@@ -495,14 +497,8 @@ def _dispatch(args, out, err):
         _emit(args, text, {"dim_irrep": value, "n": args.n, "k": args.k, "l": args.l}, out)
         return 0
 
-    if cmd == "classify-cubic3":
-        case = cubic3_catalog(parse_matrix(args.matrix))
-        doc = catalog_document(case, args.alias)
-        _emit(args, _render_catalog(doc), doc, out)
-        return 0
-
-    if cmd == "classify-quad4":
-        case = quad4_catalog(parse_matrix(args.matrix))
+    if cmd in _CATALOGS:
+        case = getattr(classifier, _CATALOGS[cmd])(parse_matrix(args.matrix))
         doc = catalog_document(case, args.alias)
         _emit(args, _render_catalog(doc), doc, out)
         return 0

@@ -59,10 +59,7 @@ def _complement(idx, n):
     the concatenation (idx, complement)."""
     present = set(idx)
     comp = tuple(j for j in range(1, n + 1) if j not in present)
-    inversions = 0
-    for a in idx:
-        inversions += sum(1 for b in comp if b < a)
-    return (-1 if inversions % 2 else 1), comp
+    return merge_indices(idx, comp)[0], comp
 
 
 def to_form(u):

@@ -62,7 +62,8 @@ class RMatrix:
     Stored with one coefficient per ordered pair of matrix units, the pairs
     sorted lexicographically; assigning to a swapped pair flips the sign and
     E_ij /\\ E_ij drops out.  Coefficients are exact rationals and unit
-    indices integers; a float in either raises ``TypeError``.
+    indices integers; a float in either raises ``TypeError``.  Every key is
+    checked, also one whose coefficient is zero.
     """
 
     __slots__ = ("dim", "coefficients")
@@ -73,14 +74,12 @@ class RMatrix:
         canonical = {}
         for (unit_a, unit_b), coeff in (coefficients or {}).items():
             coeff = _frac(coeff)
-            if not coeff:
-                continue
             unit_a = tuple(map(index, unit_a))
             unit_b = tuple(map(index, unit_b))
             for i, j in (unit_a, unit_b):
                 if not (1 <= i <= dim and 1 <= j <= dim):
                     raise DimensionError(f"matrix unit ({i},{j}) out of range")
-            if unit_a == unit_b:
+            if not coeff or unit_a == unit_b:
                 continue
             if unit_a > unit_b:
                 unit_a, unit_b, coeff = unit_b, unit_a, -coeff

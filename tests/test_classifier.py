@@ -325,29 +325,66 @@ def test_quad4_catalog_document_roundtrip():
         assert trace_d(pi).is_zero()
 
 
+def _count_calls(monkeypatch, module, names):
+    """Wrap each named attribute of ``module`` so its calls are counted."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            counts[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+# L D L^-1 for the diagonal stratum D and L with det 2: a rational stratum
+QUAD4_CONJUGATE = LinearMatrix([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]])
+QUAD4_CONJUGATE = QUAD4_CONJUGATE.matmul(QUAD4_DIAGONAL).matmul(QUAD4_CONJUGATE.inverse())
+
+
 @pytest.mark.parametrize("matrix", [QUAD4_DIAGONAL, QUAD4_NILPOTENT, QUAD4_ROTATION,
-                                    LinearMatrix.diagonal([0, 0, 0, 0])],
-                         ids=["diagonal", "nilpotent", "rotation", "zero"])
-def test_quad4_catalog_wedges_once_per_generator(monkeypatch, matrix):
-    """d theta /\\ d theta = 0 is read off the quartic constraints; the only
-    wedge left is the condition (ii) check of each build_quadratic_poisson."""
+                                    LinearMatrix.diagonal([0, 0, 0, 0]), QUAD4_CONJUGATE],
+                         ids=["diagonal", "nilpotent", "rotation", "zero", "conjugate"])
+def test_quad4_catalog_builds_each_object_once(monkeypatch, matrix):
+    """One d theta per kernel element, the L_A operator only on the 80 basis
+    forms, one trace term per stratum, no wedge of forms (condition (ii) is
+    read off the quartic constraints), no trip through the checked public
+    constructor, and one Poisson check per generator."""
     from polyvec import classifier
-    original_wedge, original_build = classifier.wedge_forms, classifier.build_quadratic_poisson
-    wedges, builds = [], []
-
-    def counting_wedge(a, b):
-        wedges.append(1)
-        return original_wedge(a, b)
-
-    def counting_build(theta, a_matrix):
-        builds.append(1)
-        return original_build(theta, a_matrix)
-
-    monkeypatch.setattr(classifier, "wedge_forms", counting_wedge)
-    monkeypatch.setattr(classifier, "build_quadratic_poisson", counting_build)
+    counts = _count_calls(monkeypatch, classifier, [
+        "build_quadratic_poisson", "wedge_forms", "exterior_derivative",
+        "lie_derivative_form", "wedge", "is_poisson"])
     case = quad4_catalog(matrix)
     assert len(case.generators) > 0
-    assert len(wedges) == len(builds) == len(case.generators)
+    assert counts == {
+        "build_quadratic_poisson": 0, "wedge_forms": 0,
+        "exterior_derivative": case.kernel.dimension, "lie_derivative_form": 80,
+        "wedge": 1, "is_poisson": len(case.generators)}
+
+
+def test_quad4_catalog_generators_match_the_checked_constructor():
+    """The assembled generators equal build_quadratic_poisson on the same
+    kernel elements, which re-checks conditions (i) and (ii)."""
+    for matrix in (QUAD4_NILPOTENT, QUAD4_CONJUGATE):
+        case = quad4_catalog(matrix)
+        built = [build_quadratic_poisson(theta, matrix) for i, theta in
+                 enumerate(case.kernel.basis) if case.constraints.vanishes_at(
+                     [int(j == i) for j in range(case.kernel.dimension)])]
+        assert list(case.generators) == built
+
+
+@pytest.mark.parametrize("name, fake", [("is_poisson", lambda p: False),
+                                        ("generic_rank", lambda p: 0)])
+def test_catalogs_raise_their_internal_checks(monkeypatch, name, fake):
+    from polyvec import classifier
+    monkeypatch.setattr(classifier, name, fake)
+    with pytest.raises(PreconditionError, match="internal check failed"):
+        cubic3_catalog(CASE_A12)
+    if name == "is_poisson":
+        with pytest.raises(PreconditionError, match="internal check failed"):
+            quad4_catalog(QUAD4_DIAGONAL)
+    else:
+        # the quad4 rank flag is recorded, not required
+        assert {flags[2] for flags in quad4_catalog(QUAD4_DIAGONAL).generator_flags} == {0}
 
 
 def test_quad4_equivariance_under_linear_maps():

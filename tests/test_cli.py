@@ -357,6 +357,12 @@ def test_rmatrix_parsing_and_command():
     assert json.loads(text) == {"bivector": "0", "poisson": True}
 
 
+def test_rmatrix_command_refuses_an_out_of_range_unit_with_zero_coefficient():
+    code, text, err = call(["rmatrix", "--dim", "2", "--terms", "1,1,5,5:0"])
+    assert (code, text) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify_cubic3_command_and_json_roundtrip():
     code, text, _ = call(["classify-cubic3", "--matrix", "1,0,0;0,2,0;0,0,-3", "--json"])
     assert code == 0

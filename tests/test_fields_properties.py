@@ -1,5 +1,6 @@
 """Properties of the Schouten bracket, the wedge kernel, the bracket
-decomposition and the printer, checked with hypothesis.
+decomposition, the graded identity suite and the printer, checked with
+hypothesis.
 
 Every property runs derandomized, so the examples are the same on each run.
 """
@@ -10,7 +11,7 @@ from itertools import combinations, product
 from hypothesis import example, given, settings, strategies as st
 
 from polyvec import PolyDifferentialForm, PolyVectorField, format_expr, parse_field, schouten
-from polyvec.invariants import pair_failures, sgn
+from polyvec.invariants import field_failures, pair_failures, sgn, triple_failures
 from util import format_expr_fraction, schouten_pairwise, wedge_pairwise
 
 COEFFICIENTS = st.builds(
@@ -85,6 +86,29 @@ def homogeneous_pairs(draw):
 @given(homogeneous_pairs())
 def test_bracket_parts_matches_direct_route_on_drawn_pairs(pair):
     assert pair_failures(*pair) == []
+
+
+@st.composite
+def triples(draw):
+    """Three nonzero fields on one R^n, each of one vector degree, the domain
+    of ``triple_failures``."""
+    n = draw(st.integers(1, 4))
+    return [draw(fields(n, draw(st.integers(0, n)), max_terms=3).filter(
+        lambda f: not f.is_zero())) for _ in range(3)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(triples())
+def test_graded_identities_hold_on_drawn_triples(triple):
+    """Graded Jacobi, Leibniz, antisymmetry and the trace compatibilities."""
+    assert triple_failures(*triple) == []
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(fields))
+def test_field_identities_hold_on_drawn_fields(u):
+    """D^2 = 0, d^2 = 0 and D = Psi^-1 d Psi, on fields of mixed degrees."""
+    assert field_failures(u) == []
 
 
 @st.composite

@@ -346,6 +346,14 @@ def test_r_matrix_refuses_non_integral_unit_indices():
         RMatrix(2, {((1.9, 1), (2, 2)): 1})
 
 
+def test_r_matrix_checks_the_key_of_a_zero_coefficient():
+    with pytest.raises(DimensionError):
+        RMatrix(2, {((5, 5), (1, 1)): 0})
+    with pytest.raises(TypeError):
+        RMatrix(2, {((1.9, 1), (2, 2)): 0})
+    assert RMatrix(2, {((1, 1), (2, 2)): 0}).coefficients == {}
+
+
 def test_r_matrix_images_quadratic_and_poisson_in_dim2():
     rng = random.Random(43)
     for _ in range(25):
