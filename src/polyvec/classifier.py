@@ -7,6 +7,11 @@ Poisson structures A0 /\\ (C + e^(3,2)).
 Dimension four, quadratic: solve L_A theta = 0 on the 80-dimensional space
 of cubic 1-forms, derive the quadratic coefficient constraints of
 d theta /\\ d theta = 0, and build Poisson structures Psi^-1(d theta) + A /\\ e^(2,2).
+For linear A the volume duality Psi turns the Lie derivative into a bracket,
+L_A theta = Psi[A, Psi^-1 theta] + tr(A) theta, and A is trace-free, so the
+kernel equation is [A, Psi^-1 theta] = 0: both catalogs solve [C, U] = 0
+through the one ``schouten`` kernel.  ``lie_derivative_form`` (the Cartan
+formula) stays the independent route of ``build_quadratic_poisson``.
 
 Throughout, a matrix C acts on coordinates in the row convention
 x -> x C, i.e. as the vector field sum_ij C[i][j] x_i d_j; that convention is
@@ -256,14 +261,22 @@ def cubic_oneform_basis():
 
 
 def compatible_cubic_oneforms(a_matrix):
-    """Kernel of theta -> L_A theta on cubic 1-forms in dimension four."""
+    """Kernel of theta -> L_A theta on cubic 1-forms in dimension four.
+
+    Volume duality intertwines the two operators: for linear A,
+    L_A theta = Psi[A, Psi^-1 theta] + tr(A) theta.  A is trace-free here, so
+    L_A theta = 0 exactly when [A, Psi^-1 theta] = 0, and the operator is
+    applied through ``schouten`` as in ``centralizer_kernel``.  Psi is a
+    signed bijection on term keys, so this matrix and that of L_A differ
+    only in row order and signs: the same nullspace and canonical basis.
+    """
     if a_matrix.dim != 4:
         raise DimensionError("quadratic catalog lives in dimension 4")
     if a_matrix.trace() != 0:
         raise PreconditionError("stratum matrix must be trace-free")
     a_field = matrix_action_field(a_matrix)
     kernel = _operator_kernel(
-        cubic_oneform_basis(), lambda th: lie_derivative_form(a_field, th))
+        cubic_oneform_basis(), lambda th: schouten(a_field, from_form(th)))
     return SolutionSpace("cubic 1-forms in dimension 4 (80 coefficients)", tuple(kernel))
 
 

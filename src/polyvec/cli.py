@@ -56,9 +56,10 @@ MAX_DEGREE = 1_000
 
 _VAR_ALIASES = {3: ("x", "y", "z"), 4: ("t", "x", "y", "z")}
 
-# Largest accepted number of terms read times the dimension.  Each term
-# gets an exponent tuple of length n, so this bounds the parser's work and
-# memory.  Catalog and benchmark inputs stay below 400.
+# Largest accepted number of terms read times the dimension, for field
+# expressions and for rmatrix --terms.  Each term gets an exponent tuple of
+# length n, so this bounds the parsers' work and memory.  Catalog and
+# benchmark inputs stay below 400.
 MAX_TERM_CELLS = 1_000_000
 
 # One match per token: an integer, a name, the wedge or any other non-space
@@ -290,12 +291,20 @@ def parse_matrix(text):
 
 
 def parse_rmatrix_terms(text, n):
-    """R-matrix literal ``"i,j,k,l:coeff;..."`` for E_ij /\\ E_kl terms."""
+    """R-matrix literal ``"i,j,k,l:coeff;..."`` for E_ij /\\ E_kl terms.
+
+    Terms read times ``n`` is capped by ``MAX_TERM_CELLS``, as in
+    ``parse_field``: each term becomes an exponent tuple of length n."""
     coefficients = {}
+    cells = 0
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
+        cells += n
+        if cells > MAX_TERM_CELLS:
+            raise ParseError(
+                f"r-matrix terms times dimension exceed the limit of {MAX_TERM_CELLS}")
         try:
             indices, _, coeff = chunk.partition(":")
             i, j, k, l = (int(s) for s in indices.split(","))
@@ -472,9 +481,10 @@ def run(argv, out=None, err=None):
         return 2
 
 
-_OPERATIONS = {"wedge": wedge, "bracket": schouten, "trace": trace_d}
-# Catalogs by name, looked up on ``classifier`` per call so that a wrapper
-# bound there (a profiler, a test's monkeypatch) is the one that runs.
+# Operations and catalogs by name, looked up per call (operations in this
+# module, catalogs on ``classifier``) so that a wrapper bound there (a
+# profiler, a test's monkeypatch) is the one that runs.
+_OPERATIONS = {"wedge": "wedge", "bracket": "schouten", "trace": "trace_d"}
 _CATALOGS = {"classify-cubic3": "cubic3_catalog", "classify-quad4": "quad4_catalog"}
 
 
@@ -515,7 +525,7 @@ def _dispatch(args, out, err):
     exprs = [parse_field(e, args.dim) for e in args.expr]
 
     if cmd in _OPERATIONS:
-        rendered = format_expr(_OPERATIONS[cmd](*exprs), args.alias)
+        rendered = format_expr(globals()[_OPERATIONS[cmd]](*exprs), args.alias)
         _emit(args, rendered, {"result": rendered}, out)
         return 0
 

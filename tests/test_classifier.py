@@ -345,20 +345,21 @@ QUAD4_CONJUGATE = QUAD4_CONJUGATE.matmul(QUAD4_DIAGONAL).matmul(QUAD4_CONJUGATE.
                                     LinearMatrix.diagonal([0, 0, 0, 0]), QUAD4_CONJUGATE],
                          ids=["diagonal", "nilpotent", "rotation", "zero", "conjugate"])
 def test_quad4_catalog_builds_each_object_once(monkeypatch, matrix):
-    """One d theta per kernel element, the L_A operator only on the 80 basis
-    forms, one trace term per stratum, no wedge of forms (condition (ii) is
-    read off the quartic constraints), no trip through the checked public
-    constructor, and one Poisson check per generator."""
+    """One d theta per kernel element, the operator [A, Psi^-1 .] only on the
+    80 basis forms and through the Schouten kernel (no Cartan formula), one
+    trace term per stratum, no wedge of forms (condition (ii) is read off the
+    quartic constraints), no trip through the checked public constructor, and
+    one Poisson check per generator."""
     from polyvec import classifier
     counts = _count_calls(monkeypatch, classifier, [
         "build_quadratic_poisson", "wedge_forms", "exterior_derivative",
-        "lie_derivative_form", "wedge", "is_poisson"])
+        "lie_derivative_form", "schouten", "wedge", "is_poisson"])
     case = quad4_catalog(matrix)
     assert len(case.generators) > 0
     assert counts == {
         "build_quadratic_poisson": 0, "wedge_forms": 0,
-        "exterior_derivative": case.kernel.dimension, "lie_derivative_form": 80,
-        "wedge": 1, "is_poisson": len(case.generators)}
+        "exterior_derivative": case.kernel.dimension, "lie_derivative_form": 0,
+        "schouten": 80, "wedge": 1, "is_poisson": len(case.generators)}
 
 
 def test_quad4_catalog_generators_match_the_checked_constructor():

@@ -17,6 +17,7 @@ from polyvec import (
     linalg,
     parse_expr,
     parse_field,
+    schouten,
 )
 from polyvec import cli
 from polyvec.cli import (
@@ -197,6 +198,9 @@ CAPPED_CALLS = [
      "decimal exponent exceeds the limit"),
     (["trace", "--dim", "10000", " + ".join(f"x{i}*d1/\\d2" for i in range(1, 3001))],
      "terms times dimension exceed the limit"),
+    (["rmatrix", "--dim", "10000", "--terms",
+      ";".join(f"{i},{i + 1},{i + 2},{i + 3}:{i}" for i in range(1, 3001))],
+     "terms times dimension exceed the limit"),
 ]
 
 
@@ -205,6 +209,12 @@ def test_run_degree_and_irrep_caps():
     at_cap = " + ".join(["d1/\\d2"] * (cli.MAX_TERM_CELLS // cli.MAX_DIM))
     assert call(["rank", "--dim", str(cli.MAX_DIM), at_cap])[:2] == (0, "2")
     assert call(["rank", "--dim", str(cli.MAX_DIM), at_cap + " - d1/\\d2"])[0] == 2
+    at_cap = ";".join(["1,1,2,2:1"] * (cli.MAX_TERM_CELLS // cli.MAX_DIM))
+    assert call(["rmatrix", "--dim", str(cli.MAX_DIM), "--terms", at_cap])[:2] == (
+        0, f"{cli.MAX_TERM_CELLS // cli.MAX_DIM}*x1*x2*d1/\\d2")
+    code, text, err = call(["rmatrix", "--dim", str(cli.MAX_DIM), "--terms",
+                            at_cap + ";1,1,2,2:1"])
+    assert (code, text) == (2, "") and "terms times dimension exceed the limit" in err
     assert call(["dim-irrep", str(cli.MAX_DIM), "2", "1"])[0] == 0
     assert call(["dim-irrep", "3", str(cli.MAX_DEGREE), "1"])[0] == 0
     for argv, message in CAPPED_CALLS:
@@ -355,6 +365,18 @@ def test_rmatrix_parsing_and_command():
     code, text, _ = call(["rmatrix", "--dim", "2", "--terms", "1,2,1,2:1", "--json"])
     assert code == 0
     assert json.loads(text) == {"bivector": "0", "poisson": True}
+
+
+def test_operations_look_up_their_kernel_at_call_time(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return schouten(*args)
+
+    monkeypatch.setattr(cli, "schouten", counting)
+    assert call(["bracket", "--dim", "2", "x1*d1", "x2*d2"])[:2] == (0, "0")
+    assert len(calls) == 1
 
 
 def test_rmatrix_command_refuses_an_out_of_range_unit_with_zero_coefficient():

@@ -1,6 +1,6 @@
 """Properties of the Schouten bracket, the wedge kernel, the bracket
-decomposition, the graded identity suite and the printer, checked with
-hypothesis.
+decomposition, the graded identity suite, the duality of the Lie derivative
+and the printer, checked with hypothesis.
 
 Every property runs derandomized, so the examples are the same on each run.
 """
@@ -10,7 +10,18 @@ from itertools import combinations, product
 
 from hypothesis import example, given, settings, strategies as st
 
-from polyvec import PolyDifferentialForm, PolyVectorField, format_expr, parse_field, schouten
+from polyvec import (
+    LinearMatrix,
+    PolyDifferentialForm,
+    PolyVectorField,
+    format_expr,
+    from_form,
+    lie_derivative_form,
+    linear_vector_field,
+    parse_field,
+    schouten,
+    to_form,
+)
 from polyvec.invariants import field_failures, pair_failures, sgn, triple_failures
 from util import format_expr_fraction, schouten_pairwise, wedge_pairwise
 
@@ -109,6 +120,27 @@ def test_graded_identities_hold_on_drawn_triples(triple):
 def test_field_identities_hold_on_drawn_fields(u):
     """D^2 = 0, d^2 = 0 and D = Psi^-1 d Psi, on fields of mixed degrees."""
     assert field_failures(u) == []
+
+
+@st.composite
+def linear_fields_and_forms(draw):
+    """A linear matrix A on R^n (rational entries, any trace) and a form of
+    one drawn degree 0..n."""
+    n = draw(st.integers(2, 4))
+    entries = st.one_of(st.just(Fraction(0)), COEFFICIENTS)
+    a = LinearMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+    return a, draw(fields(n, draw(st.integers(0, n)), cls=PolyDifferentialForm))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(linear_fields_and_forms())
+def test_lie_derivative_is_dual_to_the_bracket_with_a_linear_field(case):
+    """L_A theta = Psi[A, Psi^-1 theta] + tr(A) theta: the identity that lets
+    the quad4 kernel go through ``schouten``."""
+    a, theta = case
+    a_field = linear_vector_field(a)
+    assert lie_derivative_form(a_field, theta) == (
+        to_form(schouten(a_field, from_form(theta))) + theta.scale(a.trace()))
 
 
 @st.composite
