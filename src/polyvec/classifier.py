@@ -30,7 +30,6 @@ from .fields import (
     LinearMatrix,
     PolyVectorField,
     _frac,
-    _integer_terms,
     _sort_with_sign,
     euler,
     linear_vector_field,
@@ -294,7 +293,7 @@ def quartic_constraints(space):
     for theta in space.basis:
         if theta.dim != 4:
             raise DimensionError("quartic constraints live in dimension 4")
-        if any(len(idx) != 1 for _, idx in theta.terms):
+        if any(len(idx) != 1 for _, idx in theta.nums):
             raise PreconditionError("quartic constraints need a space of 1-forms")
     return _quartic_pairing([exterior_derivative(theta) for theta in space.basis])
 
@@ -305,18 +304,17 @@ def _quartic_pairing(dthetas):
     The coefficient of c_i c_j (i <= j) is (2 - [i = j]) (d theta_i /\\
     d theta_j)_{1234}, and in dimension four that component is the signed sum
     over the six ordered complementary index pairs (ab, cd) of
-    (d theta_i)_{ab} (d theta_j)_{cd}.  Each d theta_i goes over its common
-    denominator D_i once and its terms are bucketed by index pair; a pair
+    (d theta_i)_{ab} (d theta_j)_{cd}.  The integer numerators of each
+    d theta_i, over its denominator D_i, are bucketed by index pair; a pair
     (i, j) accumulates in integers and each nonzero coefficient becomes one
     ``Fraction(factor * total, D_i * D_j)``.
     """
     buckets = []
     for dtheta in dthetas:
-        denom, terms = _integer_terms(dtheta)
         by_pair = {}
-        for exp, idx, c in terms:
+        for (exp, idx), c in dtheta.nums.items():
             by_pair.setdefault(idx, []).append((exp, c))
-        buckets.append((denom, by_pair))
+        buckets.append((dtheta.den, by_pair))
     per_monomial = {}
     for i, (d_i, left) in enumerate(buckets):
         for j in range(i, len(buckets)):

@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -208,10 +209,12 @@ def format_expr(obj, alias="numeric"):
     is unambiguous inside catalog documents where the kind is recorded).
 
     Terms are ordered by index tuple, then exponents.  A coefficient renders
-    from its numerator and denominator alone, with no Fraction arithmetic:
-    its sign becomes the joining ``-``, and its magnitude prints as
-    ``str(num)`` when the denominator is 1 and ``num/den`` otherwise, left
-    out when it is 1 and the term has another factor.  Each monomial string
+    from the stored integer numerator ``num`` and denominator ``den`` alone,
+    with no Fraction: it is ``num // g`` over ``den // g`` with
+    ``g = gcd(num, den)``, its sign becomes the joining ``-``, and its
+    magnitude prints as ``str(num)`` when the reduced denominator is 1 and
+    ``num/den`` otherwise, left out when it is 1 and the term has another
+    factor.  Each monomial string
     is built once per exponent tuple and each wedge of partials once per
     index tuple.  A result with an integer past the interpreter's int/str
     digit limit raises ``PolyvecError``.
@@ -229,13 +232,14 @@ def format_expr(obj, alias="numeric"):
     else:
         raise PolyvecError(f"unknown alias mode {alias!r}")
 
-    if not obj.terms:
+    if not obj.nums:
         return "0"
+    denominator = obj.den
     pieces = []
     monomials = {}
     last_idx = partial = None
     try:
-        for idx, exp, coeff in sorted([(idx, exp, c) for (exp, idx), c in obj.terms.items()]):
+        for idx, exp, num in sorted([(idx, exp, c) for (exp, idx), c in obj.nums.items()]):
             monomial = monomials.get(exp)
             if monomial is None:
                 monomial = monomials[exp] = "*".join([
@@ -245,12 +249,15 @@ def format_expr(obj, alias="numeric"):
                 last_idx = idx
                 partial = "/\\".join([partial_names[j - 1] for j in idx])
             body = (f"{monomial}*{partial}" if monomial else partial) if partial else monomial
-            num, den = coeff.numerator, coeff.denominator
             if num < 0:
                 pieces.append(" - ")
                 num = -num
             else:
                 pieces.append(" + ")
+            den = denominator
+            if den != 1:
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
             if den != 1:
                 body = f"{num}/{den}*{body}" if body else f"{num}/{den}"
             elif num != 1 or not body:

@@ -37,7 +37,11 @@ def decompose(a):
     When DA = 0 the answer is (A, 0, 0) without touching e^(k,l), which also
     covers the degenerate normalizer at (k, l) = (0, n).
     """
-    deg = a.bidegree()
+    return _decompose(a, a.bidegree())
+
+
+def _decompose(a, deg):
+    """``decompose`` of ``a``, whose bidegree ``deg`` the caller has."""
     n = a.dim
     da = trace_d(a)
     zero = PolyVectorField.zero(n)
@@ -51,7 +55,7 @@ def _wedge_scaled(scalar, u, v):
     """scalar * (u /\\ v), scaling the operand with fewer terms."""
     if not scalar or u.is_zero() or v.is_zero():
         return PolyVectorField.zero(u.dim)
-    if len(u.terms) <= len(v.terms):
+    if len(u.nums) <= len(v.nums):
         return wedge(u.scale(scalar), v)
     return wedge(u, v.scale(scalar))
 
@@ -90,8 +94,9 @@ def bracket_parts(a, b):
     zero = PolyVectorField.zero(n)
     if a.is_zero() or b.is_zero():
         return zero, zero
-    ka, la = a.bidegree()
-    kb, lb = b.bidegree()
+    deg_a, deg_b = a.bidegree(), b.bidegree()
+    ka, la = deg_a
+    kb, lb = deg_b
     d1 = ka - la
     d2 = kb - lb
     if n + d1 == 0 or n + d2 == 0:
@@ -100,8 +105,8 @@ def bracket_parts(a, b):
     k2, ell2 = ka + kb, la + lb
     sgn = -1 if lb % 2 else 1
 
-    a0, _, da = decompose(a)
-    b0, _, db = decompose(b)
+    a0, _, da = _decompose(a, deg_a)
+    b0, _, db = _decompose(b, deg_b)
 
     c_ab = Fraction(d2, n + d1)
     c_ba = Fraction(d1, n + d2)
@@ -132,12 +137,13 @@ def self_bracket_parts(a):
     zero = PolyVectorField.zero(n)
     if a.is_zero():
         return zero, zero
-    k, ell = a.bidegree()
+    deg = a.bidegree()
+    k, ell = deg
     if ell % 2:
         raise ParityError(f"self-bracket decomposition needs even vector degree, got {ell}")
     if n + k - ell == 0:
         raise DegenerateNormalizerError("self-bracket decomposition needs n + k - l != 0")
-    a0, _, da = decompose(a)
+    a0, _, da = _decompose(a, deg)
     c = Fraction(2 * (k - ell), n + k - ell)
     bracket_da_a0 = schouten(da, a0)
     tracefree = schouten(a0, a0)

@@ -14,7 +14,6 @@ from .errors import DimensionError, DomainError
 from .fields import (
     PolyVectorField,
     _SparseTerms,
-    _accumulate,
     _sort_with_sign,
     merge_indices,
 )
@@ -36,7 +35,8 @@ class VolumeConvention:
 
 class PolyDifferentialForm(_SparseTerms):
     """Differential form with polynomial coefficients, stored like a field:
-    (exponent tuple, strictly increasing covariant index tuple) -> Fraction.
+    (exponent tuple, strictly increasing covariant index tuple) -> integer
+    numerator over one denominator.
     """
 
     __slots__ = ()
@@ -46,7 +46,7 @@ class PolyDifferentialForm(_SparseTerms):
     _overlong_raises = True
 
     def form_degrees(self):
-        return {len(idx) for _, idx in self.terms}
+        return {len(idx) for _, idx in self.nums}
 
 
 def wedge_forms(a, b):
@@ -65,31 +65,31 @@ def _complement(idx, n):
 def to_form(u):
     """Duality against the volume form: an l-vector becomes an (n-l)-form via
     Psi(U)(W) = Psi(U /\\ W).  Linear and invertible."""
-    terms = {}
-    for (exp, idx), c in u.terms.items():
+    nums = {}
+    for (exp, idx), c in u.nums.items():
         sign, comp = _complement(idx, u.dim)
-        terms[(exp, comp)] = c if sign > 0 else -c
-    return PolyDifferentialForm._from_canonical(u.dim, terms)
+        nums[(exp, comp)] = c if sign > 0 else -c
+    return PolyDifferentialForm._wrap(u.dim, nums, u.den)
 
 
 def from_form(omega):
     """Inverse of :func:`to_form`: a covariant tuple K goes back to its
     complement J with the sign of (J, K), which differs from that of (K, J)
     by (-1)^(|J| |K|)."""
-    terms = {}
-    for (exp, idx), c in omega.terms.items():
+    nums = {}
+    for (exp, idx), c in omega.nums.items():
         sign, comp = _complement(idx, omega.dim)
         if len(idx) * len(comp) % 2:
             sign = -sign
-        terms[(exp, comp)] = c if sign > 0 else -c
-    return PolyVectorField._from_canonical(omega.dim, terms)
+        nums[(exp, comp)] = c if sign > 0 else -c
+    return PolyVectorField._wrap(omega.dim, nums, omega.den)
 
 
 def exterior_derivative(omega):
     """Standard exterior derivative; raises the form degree by one and
     squares to zero."""
-    terms = {}
-    for (exp, idx), c in omega.terms.items():
+    totals = {}
+    for (exp, idx), c in omega.nums.items():
         for m in range(omega.dim):
             e = exp[m]
             if not e:
@@ -98,9 +98,9 @@ def exterior_derivative(omega):
             if merged is None:
                 continue
             sign, new_idx = merged
-            new_exp = exp[:m] + (e - 1,) + exp[m + 1:]
-            _accumulate(terms, (new_exp, new_idx), sign * e * c)
-    return PolyDifferentialForm._from_canonical(omega.dim, terms)
+            key = (exp[:m] + (e - 1,) + exp[m + 1:], new_idx)
+            totals[key] = totals.get(key, 0) + sign * e * c
+    return PolyDifferentialForm._reduced(omega.dim, totals, omega.den)
 
 
 def interior_product(x, omega):
@@ -108,12 +108,12 @@ def interior_product(x, omega):
     if x.dim != omega.dim:
         raise DimensionError(f"dimension mismatch: {x.dim} vs {omega.dim}")
     components = {}
-    for (exp, idx), c in x.terms.items():
+    for (exp, idx), c in x.nums.items():
         if len(idx) != 1:
             raise DimensionError("interior product needs a vector field")
         components.setdefault(idx[0], {})[exp] = c
-    terms = {}
-    for (exp, idx), c in omega.terms.items():
+    totals = {}
+    for (exp, idx), c in omega.nums.items():
         for t, j in enumerate(idx):
             comp = components.get(j)
             if not comp:
@@ -121,10 +121,10 @@ def interior_product(x, omega):
             sign = -1 if t % 2 else 1
             new_idx = idx[:t] + idx[t + 1:]
             for xexp, xc in comp.items():
-                new_exp = tuple(a + b for a, b in zip(exp, xexp))
+                key = (tuple(a + b for a, b in zip(exp, xexp)), new_idx)
                 p = c * xc
-                _accumulate(terms, (new_exp, new_idx), p if sign > 0 else -p)
-    return PolyDifferentialForm._from_canonical(omega.dim, terms)
+                totals[key] = totals.get(key, 0) + (p if sign > 0 else -p)
+    return PolyDifferentialForm._reduced(omega.dim, totals, x.den * omega.den)
 
 
 def lie_derivative_form(x, omega):
@@ -139,20 +139,20 @@ def trace_d(u):
     Implemented as the direct contraction of one partial slot against one
     coordinate derivative; equals conjugating the exterior derivative through
     the volume duality, and restricts to the matrix trace on linear vector
-    fields.  Squares to zero.
+    fields.  Squares to zero.  It accumulates the integer numerators over
+    ``u``'s denominator.
     """
-    terms = {}
-    for (exp, idx), c in u.terms.items():
+    totals = {}
+    for (exp, idx), c in u.nums.items():
         ell = len(idx)
         for t, j in enumerate(idx):
             e = exp[j - 1]
             if not e:
                 continue
-            sign = -1 if (ell - 1 - t) % 2 else 1
-            new_exp = exp[:j - 1] + (e - 1,) + exp[j:]
-            new_idx = idx[:t] + idx[t + 1:]
-            _accumulate(terms, (new_exp, new_idx), sign * e * c)
-    return PolyVectorField._from_canonical(u.dim, terms)
+            key = (exp[:j - 1] + (e - 1,) + exp[j:], idx[:t] + idx[t + 1:])
+            value = e * c
+            totals[key] = totals.get(key, 0) + (-value if (ell - 1 - t) % 2 else value)
+    return PolyVectorField._reduced(u.dim, totals, u.den)
 
 
 def dim_irrep(n, k, ell):

@@ -1,19 +1,26 @@
 """Sparse exact polynomial poly-vector fields on R^n.
 
-A field is stored as a finitely supported mapping
+A field is a finitely supported mapping
 
     (exponent tuple of length n, strictly increasing partial-index tuple)
-        -> nonzero Fraction
+        -> nonzero rational coefficient
 
 so each basis element ``x^a d_{j1}/\\.../\\d_{jl}`` with ``j1 < ... < jl``
-appears at most once.  Coefficients are exact rationals throughout; there is
-no floating-point mode.  The same mapping with covariant indices is a
-differential form (``duality.PolyDifferentialForm``) and with no indices a
-polynomial, so all three share one sparse core, ``_SparseTerms``.
+appears at most once.  It is stored as one positive denominator ``den`` and
+a map ``nums`` of nonzero integer numerators, normalised so that ``den`` and
+the numerators have no common factor (``den`` is 1 for zero): equal values
+store equal integers.  ``terms`` is the same mapping with canonical
+``Fraction`` values, built on first read.  Coefficients are exact rationals
+throughout; there is no floating-point mode.  The same mapping with
+covariant indices is a differential form (``duality.PolyDifferentialForm``)
+and with no indices a polynomial, so all three share one sparse core,
+``_SparseTerms``.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
-radial fields and the action of linear diffeomorphisms.
+radial fields and the action of linear diffeomorphisms.  Each kernel reads
+the integer numerators, accumulates in integers and divides out the common
+factor of its result once.
 """
 
 import math
@@ -109,17 +116,19 @@ def _unit(n, m):
 
 class _SparseTerms:
     """A finitely supported map (exponents, strictly increasing indices) ->
-    nonzero Fraction on R^dim.
+    nonzero rational on R^dim, stored as integer numerators ``nums`` over one
+    positive denominator ``den`` that shares no factor with all of them.
 
     This is the one place where the representation is decided: validation
-    and canonicalisation, accumulation, arithmetic, equality and the wedge
+    and canonicalisation, normalisation, arithmetic, equality and the wedge
     kernel all live here, and subclasses only name their index slots.
     Values are immutable after construction; all operations return new
-    values, so concurrent use needs no synchronization.  The zero value
-    keeps its dimension tag so dimension mismatches stay detectable.
+    values, so concurrent use needs no synchronization (two threads that
+    read ``terms`` first may both build it, with equal results).  The zero
+    value keeps its dimension tag so dimension mismatches stay detectable.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "den", "nums", "_terms")
 
     # Name of an index slot in error messages and its prefix in ``repr``.
     _index_kind = "partial"
@@ -147,18 +156,56 @@ class _SparseTerms:
             sign, idx = _sort_with_sign(idx)
             if sign:
                 _accumulate(canonical, (exp, idx), coeff if sign > 0 else -coeff)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", canonical)
+        self._store_fractions(dim, canonical)
+
+    def _store_fractions(self, dim, terms):
+        """Store a canonical Fraction map: the denominator is the lcm of its
+        denominators, which leaves no factor common to all numerators, and
+        the map itself becomes the cached ``terms``."""
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        nums = {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+        _store(self, dim, den, nums, terms)
 
     @classmethod
     def _from_canonical(cls, dim, terms):
         """Wrap a term dict that is already canonical (sorted indices,
         nonzero Fraction values) without checking it again; the dict is
-        taken over, not copied."""
+        taken over as ``terms``, not copied."""
         out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "terms", terms)
+        out._store_fractions(dim, terms)
         return out
+
+    @classmethod
+    def _wrap(cls, dim, nums, den):
+        """Wrap nonzero integer numerators over ``den`` > 0 that are already
+        normalised; the dict is taken over, not copied."""
+        out = object.__new__(cls)
+        _store(out, dim, den, nums, None)
+        return out
+
+    @classmethod
+    def _reduced(cls, dim, totals, den):
+        """The value of integer ``totals`` over ``den`` > 0: zero totals drop
+        out and the factor common to the denominator and all numerators is
+        divided out, so the result is normalised."""
+        nums = {key: t for key, t in totals.items() if t}
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {key: t // g for key, t in nums.items()}
+        return cls._wrap(dim, nums, den)
+
+    @property
+    def terms(self):
+        """The canonical ``(exponents, indices) -> Fraction`` mapping, built
+        on first read and cached."""
+        view = self._terms
+        if view is None:
+            den = self.den
+            view = {key: Fraction(c, den) for key, c in self.nums.items()}
+            object.__setattr__(self, "_terms", view)
+        return view
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -172,61 +219,63 @@ class _SparseTerms:
             raise DimensionError(
                 f"dimension mismatch: {self.dim} vs {other.dim}")
 
-    def __add__(self, other):
+    def _combined(self, other, sign):
+        """``self + sign * other`` over the lcm of the two denominators."""
         self._check_dim(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(terms, key, c)
-        return self._from_canonical(self.dim, terms)
+        da, db = self.den, other.den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        totals = dict(self.nums) if fa == 1 else {k: c * fa for k, c in self.nums.items()}
+        for key, c in other.nums.items():
+            totals[key] = totals.get(key, 0) + c * fb
+        return self._reduced(self.dim, totals, den)
+
+    def __add__(self, other):
+        return self._combined(other, 1)
 
     def __sub__(self, other):
-        self._check_dim(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _accumulate(terms, key, -c)
-        return self._from_canonical(self.dim, terms)
+        return self._combined(other, -1)
 
     def __neg__(self):
-        return self._from_canonical(self.dim, {k: -v for k, v in self.terms.items()})
+        return self._wrap(self.dim, {k: -c for k, c in self.nums.items()}, self.den)
 
     def scale(self, c):
         c = _frac(c)
-        terms = {k: v * c for k, v in self.terms.items()} if c else {}
-        return self._from_canonical(self.dim, terms)
+        p = c.numerator
+        return self._reduced(self.dim, {k: v * p for k, v in self.nums.items()} if p else {},
+                             self.den * c.denominator)
 
     def __rmul__(self, c):
         return self.scale(c)
 
     def __eq__(self, other):
-        return (type(other) is type(self)
-                and self.dim == other.dim and self.terms == other.terms)
+        return (type(other) is type(self) and self.dim == other.dim
+                and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self.den, frozenset(self.nums.items())))
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def _wedge(self, other):
         """The one wedge kernel, for fields, forms and 0-vector polynomials
         alike: exponents add, index tuples shuffle-merge with their sign and
         a shared index kills the pair.  The result has the type of ``self``.
 
-        It works in exact integers: each operand's coefficients go over their
-        common denominator once (``_integer_terms``), ``merge_indices`` runs
-        once per pair of index tuples (memoised for the call), exponents add
-        with ``map(add, ...)``, and each nonzero output total becomes one
-        ``Fraction`` at the end (``_fractions``).
+        It works on the integer numerators: ``merge_indices`` runs once per
+        pair of index tuples (memoised for the call), exponents add with
+        ``map(add, ...)``, and the totals over the product of the two
+        denominators are normalised once at the end.
         """
         self._check_dim(other)
-        da, us = _integer_terms(self)
-        db, vs = _integer_terms(other)
         totals, merges = {}, {}
-        for ea, ia, ca in us:
+        vs = other.nums.items()
+        for (ea, ia), ca in self.nums.items():
             row = merges.get(ia)
             if row is None:
                 row = merges[ia] = {}
-            for eb, ib, cb in vs:
+            for (eb, ib), cb in vs:
                 merged = row.get(ib, False)
                 if merged is False:
                     merged = row[ib] = merge_indices(ia, ib)
@@ -236,11 +285,11 @@ class _SparseTerms:
                 key = (tuple(map(add, ea, eb)), idx)
                 value = ca * cb
                 totals[key] = totals.get(key, 0) + (value if sign > 0 else -value)
-        return self._from_canonical(self.dim, _fractions(totals, da * db))
+        return self._reduced(self.dim, totals, self.den * other.den)
 
     def __repr__(self):
         name = type(self).__name__
-        if not self.terms:
+        if not self.nums:
             return f"{name}(dim={self.dim}, 0)"
         bits = []
         for (exp, idx), c in sorted(self.terms.items()):
@@ -248,6 +297,14 @@ class _SparseTerms:
             part = "/\\".join(f"{self._index_token}{j}" for j in idx)
             bits.append("*".join(s for s in (str(c), mono, part) if s))
         return f"{name}(dim={self.dim}, {' + '.join(bits)})"
+
+
+def _store(obj, dim, den, nums, terms):
+    """Set the four slots of a new ``_SparseTerms``, past ``__setattr__``."""
+    object.__setattr__(obj, "dim", dim)
+    object.__setattr__(obj, "den", den)
+    object.__setattr__(obj, "nums", nums)
+    object.__setattr__(obj, "_terms", terms)
 
 
 class PolyVectorField(_SparseTerms):
@@ -268,7 +325,8 @@ class PolyVectorField(_SparseTerms):
     # -- grading -----------------------------------------------------------
 
     def bidegrees(self):
-        return {BiDegree(sum(exp), len(idx)) for exp, idx in self.terms}
+        return {BiDegree(k, ell)
+                for k, ell in {(sum(exp), len(idx)) for exp, idx in self.nums}}
 
     def is_homogeneous(self):
         return len(self.bidegrees()) <= 1
@@ -281,10 +339,10 @@ class PolyVectorField(_SparseTerms):
         return next(iter(degs)) if degs else BiDegree(0, 0)
 
     def vector_degrees(self):
-        return {len(idx) for exp, idx in self.terms}
+        return {len(idx) for exp, idx in self.nums}
 
     def max_poly_degree(self):
-        return max((sum(exp) for exp, idx in self.terms), default=0)
+        return max((sum(exp) for exp, idx in self.nums), default=0)
 
     def wedge(self, other):
         return wedge(self, other)
@@ -317,33 +375,16 @@ def wedge(u, v):
     return u._wedge(v)
 
 
-def _fractions(totals, denom):
-    """Integer totals over the common denominator ``denom`` as canonical
-    nonzero Fractions, one per nonzero total; ``Fraction(t)`` skips the gcd
-    when there is nothing to reduce."""
-    if denom == 1:
-        return {key: Fraction(t) for key, t in totals.items() if t}
-    return {key: Fraction(t, denom) for key, t in totals.items() if t}
-
-
-def _integer_terms(u):
-    """``u``'s terms over one common denominator: ``(D, [(exp, idx, c * D)])``
-    with ``D`` the lcm of the coefficient denominators, so every ``c * D`` is
-    an exact Python int."""
-    denom = math.lcm(*(c.denominator for c in u.terms.values()))
-    return denom, [(exp, idx, c.numerator * (denom // c.denominator))
-                   for (exp, idx), c in u.terms.items()]
-
-
 def _derivative_buckets(dim, terms):
-    """Bucket integer terms by the variables their monomials contain.
+    """Bucket integer terms ``((exponents, indices), numerator)`` by the
+    variables their monomials contain.
 
     ``buckets[m]`` lists d/dx_(m+1) of every term whose exponent of x_(m+1)
     is positive, as ``(exponent with e_m - 1, indices, e_m * numerator)``;
     a partial slot d_j of the other operand reaches exactly ``buckets[j - 1]``.
     """
     buckets = [[] for _ in range(dim)]
-    for exp, idx, c in terms:
+    for (exp, idx), c in terms:
         for m, e in enumerate(exp):
             if e:
                 buckets[m].append((exp[:m] + (e - 1,) + exp[m + 1:], idx, e * c))
@@ -361,7 +402,7 @@ def _slot_derivatives(totals, merges, terms, buckets, twist):
     roles swapped into the second half of ``[u, v]``.  ``merges`` memoises
     ``merge_indices`` by its two arguments for the whole bracket.
     """
-    for ea, ia, ca in terms:
+    for (ea, ia), ca in terms:
         p = len(ia)
         for t, j in enumerate(ia):
             bucket = buckets[j - 1]
@@ -394,24 +435,22 @@ def schouten(u, v):
     antisymmetric for the shifted degrees and mapping bidegrees
     ``(k, l) x (k', l') -> (k + k' - 1, l + l' - 1)``.
 
-    The kernel works in exact integers: each operand's coefficients are put
-    over their common denominator once, only the term pairs where a partial
-    slot meets a variable of the other coefficient are visited, and each
-    output term becomes one ``Fraction`` at the end.
+    The kernel works on the integer numerators: only the term pairs where a
+    partial slot meets a variable of the other coefficient are visited, and
+    the totals over the product of the two denominators are normalised once
+    at the end.
     """
     u._check_dim(v)
-    du, us = _integer_terms(u)
-    dv, vs = _integer_terms(v)
+    us, vs = u.nums.items(), v.nums.items()
     totals, merges = {}, {}
     _slot_derivatives(totals, merges, us, _derivative_buckets(u.dim, vs), False)
     _slot_derivatives(totals, merges, vs, _derivative_buckets(u.dim, us), True)
-    return PolyVectorField._from_canonical(u.dim, _fractions(totals, du * dv))
+    return PolyVectorField._reduced(u.dim, totals, u.den * v.den)
 
 
 def radial_field(n):
     """The radial vector field e0 = x^m d_m."""
-    return PolyVectorField._from_canonical(
-        n, {(_unit(n, m), (m + 1,)): Fraction(1) for m in range(n)})
+    return PolyVectorField._wrap(n, {(_unit(n, m), (m + 1,)): 1 for m in range(n)}, 1)
 
 
 def euler(n, k, ell):
@@ -430,11 +469,10 @@ def homogeneous_components(u):
     zero field yields the empty mapping.
     """
     buckets = {}
-    for (exp, idx), c in u.terms.items():
-        deg = BiDegree(sum(exp), len(idx))
-        buckets.setdefault(deg, {})[(exp, idx)] = c
-    return {deg: PolyVectorField._from_canonical(u.dim, terms)
-            for deg, terms in buckets.items()}
+    for (exp, idx), c in u.nums.items():
+        buckets.setdefault((sum(exp), len(idx)), {})[(exp, idx)] = c
+    return {BiDegree(*deg): PolyVectorField._reduced(u.dim, nums, u.den)
+            for deg, nums in buckets.items()}
 
 
 class LinearMatrix:
@@ -507,6 +545,29 @@ def linear_vector_field(matrix):
     return PolyVectorField._from_canonical(n, terms)
 
 
+def _integer_rows(entries):
+    """Rational matrix rows as ``(integer rows, d)`` with entries * d, d the
+    lcm of the entry denominators."""
+    d = math.lcm(*(x.denominator for row in entries for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in entries], d
+
+
+def _memoised_product(key, memo, factor_of, times):
+    """The product for ``key`` in ``memo``, built one factor at a time from
+    its longest product already there: ``factor_of(key)`` gives
+    ``(shorter key, factor)`` and ``times(product, factor)`` multiplies.
+    Every product on the way is kept, so shared factors expand once."""
+    chain = []
+    while key not in memo:
+        shorter, factor = factor_of(key)
+        chain.append((key, factor))
+        key = shorter
+    product = memo[key]
+    for key, factor in reversed(chain):
+        product = memo[key] = times(product, factor)
+    return product
+
+
 def pushforward(l_matrix, u):
     """Action of the invertible linear map L on a poly-vector field.
 
@@ -519,6 +580,11 @@ def pushforward(l_matrix, u):
     The wedge then picks up one determinant factor:
     L_*(U /\\ V) = det(L) * (L_*U /\\ L_*V), while the Schouten bracket is
     preserved verbatim.
+
+    L and L^-1 go over their common denominators once.  Each distinct
+    exponent tuple's product of coordinate images and each distinct partial
+    tuple's wedge of partial images expands once in integers, memoised for
+    the call, and each term adds the integer outer product of the two.
     """
     if l_matrix.dim != u.dim:
         raise DimensionError(f"dimension mismatch: {l_matrix.dim} vs {u.dim}")
@@ -526,29 +592,56 @@ def pushforward(l_matrix, u):
     det = l_matrix.det()
     if not det:
         raise SingularMatrixError("pushforward along a singular matrix")
-    inv = l_matrix.inverse().entries
+    rows, d_rows = _integer_rows(l_matrix.entries)
+    inv, d_inv = _integer_rows(l_matrix.inverse().entries)
+    # d_rows * x_m and d_inv * d_j as sparse integer linear combinations
+    coordinates = [[(t, v) for t, v in enumerate(row) if v] for row in rows]
+    partials = [[(i + 1, inv[i][j]) for i in range(n) if inv[i][j]] for j in range(n)]
+
+    def last_coordinate(exp):
+        m = max(m for m, e in enumerate(exp) if e)
+        return exp[:m] + (exp[m] - 1,) + exp[m + 1:], coordinates[m]
+
+    def times_coordinate(poly, factor):
+        out = {}
+        for mono, c in poly.items():
+            for t, v in factor:
+                key = mono[:t] + (mono[t] + 1,) + mono[t + 1:]
+                out[key] = out.get(key, 0) + c * v
+        return {key: c for key, c in out.items() if c}
+
+    def last_partial(idx):
+        return idx[:-1], partials[idx[-1] - 1]
+
+    def times_partial(vector, factor):
+        out = {}
+        for idx, c in vector.items():
+            for i, v in factor:
+                merged = merge_indices(idx, (i,))
+                if merged is not None:
+                    key = merged[1]
+                    out[key] = out.get(key, 0) + (c * v if merged[0] > 0 else -c * v)
+        return {key: c for key, c in out.items() if c}
+
     origin = (0,) * n
-    # the image of x_m as a linear 0-vector, and of d_j as a constant vector
-    coordinates = [
-        PolyVectorField._from_canonical(
-            n, {(_unit(n, t), ()): v for t, v in enumerate(row) if v})
-        for row in l_matrix.entries]
-    partials = [
-        PolyVectorField._from_canonical(
-            n, {(origin, (i + 1,)): inv[i][j] for i in range(n) if inv[i][j]})
-        for j in range(n)]
-    out_terms = {}
-    for (exp, idx), c in u.terms.items():
-        image = PolyVectorField._from_canonical(
-            n, {(origin, ()): c * det ** (len(idx) - 1)})
-        for m, e in enumerate(exp):
-            for _ in range(e):
-                image = image._wedge(coordinates[m])
-        for j in idx:
-            image = image._wedge(partials[j - 1])
-        for key, value in image.terms.items():
-            _accumulate(out_terms, key, value)
-    return PolyVectorField._from_canonical(n, out_terms)
+    monomials, wedges = {origin: {origin: 1}}, {(): {(): 1}}
+    # each (k, l) component carries det^(l-1) / (d_rows^k d_inv^l), put
+    # over the common denominator ``common`` of all components present
+    weights = {deg: det ** (deg[1] - 1) / (d_rows ** deg[0] * d_inv ** deg[1])
+               for deg in {(sum(exp), len(idx)) for exp, idx in u.nums}}
+    common = math.lcm(*(w.denominator for w in weights.values()))
+    weights = {deg: w.numerator * (common // w.denominator) for deg, w in weights.items()}
+    totals = {}
+    for (exp, idx), c in u.nums.items():
+        poly = _memoised_product(exp, monomials, last_coordinate, times_coordinate)
+        vector = _memoised_product(idx, wedges, last_partial, times_partial)
+        c *= weights[sum(exp), len(idx)]
+        for mono, pc in poly.items():
+            pc *= c
+            for ind, vc in vector.items():
+                key = (mono, ind)
+                totals[key] = totals.get(key, 0) + pc * vc
+    return PolyVectorField._reduced(n, totals, u.den * common)
 
 
 def _skew_slot(dim, lower, upper):
@@ -580,8 +673,8 @@ def skew_component(u, lower, upper):
     if slot is None:
         return Fraction(0)
     sign, key, fact = slot
-    coeff = u.terms.get(key)
-    return Fraction(0) if coeff is None else sign * fact * coeff
+    coeff = u.nums.get(key)
+    return Fraction(0) if coeff is None else Fraction(sign * fact * coeff, u.den)
 
 
 def from_skew_components(dim, components):

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .fields import PolyVectorField, schouten, wedge
+from .fields import PolyVectorField, pushforward, schouten, wedge
 from .duality import dim_irrep, exterior_derivative, from_form, to_form, trace_d
 from .decomposition import bracket_parts, decompose, self_bracket_parts
 from .classifier import monomial_exponents
@@ -138,6 +138,22 @@ def field_failures(u):
         ("D^2 = 0", trace_d(du).is_zero()),
         ("d^2 = 0", exterior_derivative(d_omega).is_zero()),
         ("D = Psi^-1 d Psi", du == from_form(d_omega)),
+    ])
+
+
+def pushforward_failures(l_matrix, uf, vf):
+    """The transport laws of ``pushforward`` along an invertible L, for any
+    two fields on R^n: D(L_*U) = det(L) L_*(DU),
+    L_*[U, V] = [L_*U, L_*V] and L_*(U /\\ V) = det(L) (L_*U /\\ L_*V)."""
+    det = l_matrix.det()
+    lu, lv = pushforward(l_matrix, uf), pushforward(l_matrix, vf)
+    return _failed([
+        ("D(L_*U) = det(L) L_*(DU)",
+         trace_d(lu) == pushforward(l_matrix, trace_d(uf)).scale(det)),
+        ("L_*[U, V] = [L_*U, L_*V]",
+         pushforward(l_matrix, schouten(uf, vf)) == schouten(lu, lv)),
+        ("L_*(U /\\ V) = det(L) (L_*U /\\ L_*V)",
+         pushforward(l_matrix, wedge(uf, vf)) == wedge(lu, lv).scale(det)),
     ])
 
 

@@ -160,19 +160,23 @@ def generic_rank(p):
     is the zero polynomial (Kronecker's bordered-minor theorem).  A nonzero
     one grows S by {i, j} and the test repeats, so a point where M happens
     to lose rank costs time, never a wrong answer.
+
+    M is read as the integer numerators of ``p``, i.e. ``p.den`` times M:
+    a positive scalar changes no pivot and no Pfaffian's vanishing, so the
+    Pfaffians stay integer polynomials.
     """
     for ell in p.vector_degrees():
         if ell != 2:
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
     n = p.dim
     entries, values = {}, {}
-    for (exp, ij), c in p.terms.items():
+    for (exp, ij), c in p.nums.items():
         entries.setdefault(ij, {})[(exp, ())] = c
         for m, e in enumerate(exp, 1):
             if e:
                 c *= (m + Fraction(1, m + 1)) ** e
         values[ij] = values.get(ij, 0) + c
-    upper = {ij: PolyVectorField._from_canonical(n, terms) for ij, terms in entries.items()}
+    upper = {ij: PolyVectorField._wrap(n, nums, 1) for ij, nums in entries.items()}
     support = sorted({i for ij in entries for i in ij})
     at_point = [[values.get((i, j), 0) if i < j else -values.get((j, i), 0)
                  for j in support] for i in support]
@@ -191,22 +195,23 @@ def generic_rank(p):
 
 def _pfaffian(n, rows, upper, memo):
     """Pfaffian of the principal block on the sorted index tuple ``rows``,
-    given the entries above the diagonal as 0-vector fields (the product of
-    two of them is their wedge).  Expands along the first row, memoised in
-    ``memo`` by index tuple; ``memo[()]`` holds the constant 1."""
+    given the entries above the diagonal as integer 0-vector fields (the
+    product of two of them is their wedge).  Expands along the first row in
+    integers, memoised in ``memo`` by index tuple; ``memo[()]`` holds the
+    constant 1."""
     found = memo.get(rows)
     if found is not None:
         return found
     first = rows[0]
-    terms = {}
+    totals = {}
     for t in range(1, len(rows)):
         entry = upper.get((first, rows[t]))
         if entry is None:
             continue
         minor = _pfaffian(n, rows[1:t] + rows[t + 1:], upper, memo)
-        for key, c in entry._wedge(minor).terms.items():
-            _accumulate(terms, key, c if t % 2 else -c)
-    found = memo[rows] = PolyVectorField._from_canonical(n, terms)
+        for key, c in entry._wedge(minor).nums.items():
+            totals[key] = totals.get(key, 0) + (c if t % 2 else -c)
+    found = memo[rows] = PolyVectorField._reduced(n, totals, 1)
     return found
 
 

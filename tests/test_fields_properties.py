@@ -1,10 +1,11 @@
-"""Properties of the Schouten bracket, the wedge kernel, the bracket
-decomposition, the graded identity suite, the duality of the Lie derivative
-and the printer, checked with hypothesis.
+"""Properties of the Schouten bracket, the wedge kernel, the pushforward, the
+bracket decomposition, the graded identity suite, the duality of the Lie
+derivative and the printer, checked with hypothesis.
 
 Every property runs derandomized, so the examples are the same on each run.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -19,11 +20,26 @@ from polyvec import (
     lie_derivative_form,
     linear_vector_field,
     parse_field,
+    pushforward,
     schouten,
     to_form,
+    trace_d,
+    wedge,
 )
-from polyvec.invariants import field_failures, pair_failures, sgn, triple_failures
-from util import format_expr_fraction, schouten_pairwise, wedge_pairwise
+from polyvec.invariants import (
+    field_failures,
+    pair_failures,
+    pushforward_failures,
+    sgn,
+    triple_failures,
+)
+from util import (
+    format_expr_fraction,
+    pushforward_by_wedges,
+    schouten_pairwise,
+    trace_d_fraction,
+    wedge_pairwise,
+)
 
 COEFFICIENTS = st.builds(
     Fraction,
@@ -76,6 +92,59 @@ def test_schouten_is_graded_antisymmetric(pair):
     assert schouten(u, v) == schouten(v, u).scale(-sgn(shift_u * shift_v))
 
 
+def is_normalised(value):
+    """The stored form: a positive denominator, nonzero numerators, and no
+    factor common to the denominator and all numerators (so zero is over 1)."""
+    return (value.den > 0 and all(value.nums.values())
+            and math.gcd(value.den, *value.nums.values()) == 1)
+
+
+def fraction_sum(a, b, sign):
+    """``a + sign * b`` on two Fraction term maps, zeros dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(field_pairs())
+def test_kernel_results_are_normalised_and_match_fraction_oracles(pair):
+    u, v = pair
+    half = Fraction(-3, 2)
+    results = [
+        (u + v, fraction_sum(u.terms, v.terms, 1)),
+        (u - v, fraction_sum(u.terms, v.terms, -1)),
+        (-u, {key: -c for key, c in u.terms.items()}),
+        (u.scale(half), {key: c * half for key, c in u.terms.items()}),
+        (schouten(u, v), schouten_pairwise(u, v).terms),
+        (wedge(u, v), wedge_pairwise(u, v).terms),
+        (trace_d(u), trace_d_fraction(u).terms),
+        (to_form(u), None),
+        (from_form(to_form(u)), u.terms),
+    ]
+    for value, oracle in results:
+        assert is_normalised(value)
+        if oracle is not None:
+            assert value.terms == oracle
+        rebuilt = type(value)(value.dim, value.terms)
+        assert rebuilt == value and hash(rebuilt) == hash(value)
+        assert (rebuilt.den, rebuilt.nums) == (value.den, value.nums)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(field_pairs())
+def test_values_built_by_different_routes_are_equal_and_hash_equal(pair):
+    u, v = pair
+    zero = PolyVectorField.zero(u.dim)
+    for other in (u + v - v, u.scale(2).scale(Fraction(1, 2)), -(-u),
+                  PolyVectorField(u.dim, u.terms)):
+        assert other == u and hash(other) == hash(u)
+    difference = u - u
+    assert difference == zero and hash(difference) == hash(zero)
+    assert (difference.dim, difference.den, difference.nums) == (u.dim, 1, {})
+
+
 @st.composite
 def homogeneous_pairs(draw):
     """Two nonzero homogeneous fields on one R^n with n + k - l != 0 each,
@@ -120,6 +189,45 @@ def test_graded_identities_hold_on_drawn_triples(triple):
 def test_field_identities_hold_on_drawn_fields(u):
     """D^2 = 0, d^2 = 0 and D = Psi^-1 d Psi, on fields of mixed degrees."""
     assert field_failures(u) == []
+
+
+@st.composite
+def rational_matrices(draw, n):
+    """An invertible rational n x n matrix with det(L) not +-1 and a
+    non-integer inverse, so every factor of the transport laws shows."""
+    entries = st.one_of(st.just(Fraction(0)),
+                        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])))
+    l_matrix = draw(st.builds(
+        LinearMatrix, st.lists(st.lists(entries, min_size=n, max_size=n),
+                               min_size=n, max_size=n)).filter(
+        lambda m: m.det() not in (0, 1, -1)
+        and any(x.denominator != 1 for row in m.inverse().entries for x in row)))
+    return l_matrix
+
+
+@st.composite
+def pushforward_cases(draw):
+    """A rational matrix L on R^n and two fields of mixed degrees on R^n."""
+    n = draw(st.integers(1, 4))
+    return (draw(rational_matrices(n)), draw(fields(n, max_terms=3)),
+            draw(fields(n, max_terms=3)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pushforward_cases())
+def test_pushforward_transport_laws_hold_for_rational_matrices(case):
+    """D(L_*U) = det(L) L_*(DU), L_*[U, V] = [L_*U, L_*V] and
+    L_*(U /\\ V) = det(L) (L_*U /\\ L_*V)."""
+    assert pushforward_failures(*case) == []
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pushforward_cases())
+def test_pushforward_equals_wedge_chain_oracle(case):
+    l_matrix, u, _ = case
+    moved = pushforward(l_matrix, u)
+    assert moved == pushforward_by_wedges(l_matrix, u)
+    assert moved.terms == pushforward_by_wedges(l_matrix, u).terms
 
 
 @st.composite

@@ -134,6 +134,54 @@ def wedge_pairwise(u, v):
     return u._from_canonical(u.dim, terms)
 
 
+def pushforward_by_wedges(l_matrix, u):
+    """Reference pushforward: each term's image is a chain of wedges, one per
+    unit of exponent and one per partial, starting from the constant
+    ``c * det(L)^(l-1)``.  Same contract as ``fields.pushforward``; kept only
+    as an oracle."""
+    n = u.dim
+    det = l_matrix.det()
+    inv = l_matrix.inverse().entries
+    origin = (0,) * n
+    coordinates = [
+        PolyVectorField._from_canonical(
+            n, {(tuple(int(s == t) for s in range(n)), ()): v
+                for t, v in enumerate(row) if v})
+        for row in l_matrix.entries]
+    partials = [
+        PolyVectorField._from_canonical(
+            n, {(origin, (i + 1,)): inv[i][j] for i in range(n) if inv[i][j]})
+        for j in range(n)]
+    out_terms = {}
+    for (exp, idx), c in u.terms.items():
+        image = PolyVectorField._from_canonical(
+            n, {(origin, ()): c * det ** (len(idx) - 1)})
+        for m, e in enumerate(exp):
+            for _ in range(e):
+                image = image._wedge(coordinates[m])
+        for j in idx:
+            image = image._wedge(partials[j - 1])
+        for key, value in image.terms.items():
+            _accumulate(out_terms, key, value)
+    return PolyVectorField._from_canonical(n, out_terms)
+
+
+def trace_d_fraction(u):
+    """Reference trace operator: one Fraction product per contracted slot.
+    Same contract as ``duality.trace_d``; kept only as an oracle."""
+    terms = {}
+    for (exp, idx), c in u.terms.items():
+        ell = len(idx)
+        for t, j in enumerate(idx):
+            e = exp[j - 1]
+            if not e:
+                continue
+            sign = -1 if (ell - 1 - t) % 2 else 1
+            new_exp = exp[:j - 1] + (e - 1,) + exp[j:]
+            _accumulate(terms, (new_exp, idx[:t] + idx[t + 1:]), sign * e * c)
+    return PolyVectorField._from_canonical(u.dim, terms)
+
+
 def format_expr_fraction(obj, alias="numeric"):
     """Reference rendering: ``abs(coeff)`` and ``coeff < 0`` through Fraction
     arithmetic per term.  Same contract as ``cli.format_expr``; kept only as
