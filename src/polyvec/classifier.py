@@ -72,11 +72,13 @@ CUBIC4_DISPLAY_ORDER = [
 
 
 def _coordinatize(elements):
-    """Sparse coordinate rows ``{column: coefficient}`` of fields/forms, the
-    columns numbering the sorted union of their term keys."""
-    keys = sorted({key for el in elements for key in el.terms})
+    """Sparse integer coordinate rows ``{column: numerator}`` of fields/forms,
+    the columns numbering the sorted union of their term keys.  Each row is
+    its element times the positive ``den``, which changes no rank, span or
+    reduced row echelon form."""
+    keys = sorted({key for el in elements for key in el.nums})
     column = {key: c for c, key in enumerate(keys)}
-    rows = [{column[key]: v for key, v in el.terms.items()} for el in elements]
+    rows = [{column[key]: v for key, v in el.nums.items()} for el in elements]
     return keys, rows
 
 
@@ -107,8 +109,9 @@ def _operator_kernel(basis, operator):
     """
     rows = {}
     for j, b in enumerate(basis):
-        for key, c in operator(b).terms.items():
-            rows.setdefault(key, {})[j] = c
+        image = operator(b)
+        for key, c in image.nums.items():
+            rows.setdefault(key, {})[j] = Fraction(c, image.den)
     vectors = linalg.nullspace(list(rows.values()), len(basis))
     return [_combine(basis, v) for v in vectors]
 
@@ -208,8 +211,7 @@ def tracefree_projection(space):
     keys, rows = _coordinatize(projected)
     reduced, _ = linalg.rref(rows)
     dim = projected[0].dim
-    fields = [PolyVectorField._from_canonical(dim, {keys[c]: v for c, v in row.items()})
-              for row in reduced]
+    fields = [PolyVectorField(dim, {keys[c]: v for c, v in row.items()}) for row in reduced]
     return SolutionSpace(f"trace-free part of {space.ambient}", tuple(fields))
 
 

@@ -10,17 +10,17 @@ appears at most once.  It is stored as one positive denominator ``den`` and
 a map ``nums`` of nonzero integer numerators, normalised so that ``den`` and
 the numerators have no common factor (``den`` is 1 for zero): equal values
 store equal integers.  ``terms`` is the same mapping with canonical
-``Fraction`` values, built on first read.  Coefficients are exact rationals
-throughout; there is no floating-point mode.  The same mapping with
+``Fraction`` values, built afresh on each read.  Coefficients are exact
+rationals throughout; there is no floating-point mode.  The same mapping with
 covariant indices is a differential form (``duality.PolyDifferentialForm``)
 and with no indices a polynomial, so all three share one sparse core,
 ``_SparseTerms``.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
-radial fields and the action of linear diffeomorphisms.  Each kernel reads
-the integer numerators, accumulates in integers and divides out the common
-factor of its result once.
+radial fields and the action of linear diffeomorphisms.  The constructor
+and each kernel accumulate integer numerators and divide out the common
+factor of the result once, through ``_normalised``.
 """
 
 import math
@@ -89,29 +89,22 @@ class BiDegree:
         return iter((self.k, self.ell))
 
 
-def _accumulate(terms, key, c):
-    """Add the nonzero Fraction ``c`` into ``terms[key]``, dropping the key
-    when the sum cancels.
-
-    This is the single add-and-drop-zero path of every sparse operation, so
-    a stored coefficient is never zero.  A missing key is tested with
-    ``None`` rather than defaulted to ``Fraction(0)``: building that zero on
-    every accumulation is measurable in the hot loops.
-    """
-    old = terms.get(key)
-    if old is None:
-        terms[key] = c
-    else:
-        c += old
-        if c:
-            terms[key] = c
-        else:
-            del terms[key]
-
-
 def _unit(n, m):
     """Exponent tuple of the coordinate x_(m+1) in n variables."""
     return tuple(1 if t == m else 0 for t in range(n))
+
+
+def _normalised(totals, den):
+    """``(nums, den)`` for integer ``totals`` over ``den`` > 0: zero totals
+    drop out and the factor common to the denominator and all numerators is
+    divided out.  The result is the unique stored form of the value."""
+    nums = {key: t for key, t in totals.items() if t}
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {key: t // g for key, t in nums.items()}
+    return nums, den
 
 
 class _SparseTerms:
@@ -122,13 +115,12 @@ class _SparseTerms:
     This is the one place where the representation is decided: validation
     and canonicalisation, normalisation, arithmetic, equality and the wedge
     kernel all live here, and subclasses only name their index slots.
-    Values are immutable after construction; all operations return new
-    values, so concurrent use needs no synchronization (two threads that
-    read ``terms`` first may both build it, with equal results).  The zero
-    value keeps its dimension tag so dimension mismatches stay detectable.
+    Values are immutable after construction and all operations return new
+    values.  The zero value keeps its dimension tag so dimension mismatches
+    stay detectable.
     """
 
-    __slots__ = ("dim", "den", "nums", "_terms")
+    __slots__ = ("dim", "den", "nums")
 
     # Name of an index slot in error messages and its prefix in ``repr``.
     _index_kind = "partial"
@@ -138,9 +130,14 @@ class _SparseTerms:
     _overlong_raises = False
 
     def __init__(self, dim, terms=None):
+        """Take any map of raw keys to exact rationals: indices sort with
+        their permutation sign, a repeated index drops the term, and terms
+        with equal keys add.  The numerators are summed over the lcm of the
+        coefficient denominators and normalised."""
+        dim = index(dim)
         if dim < 1:
             raise DimensionError(f"ambient dimension must be >= 1, got {dim}")
-        canonical = {}
+        signed = []
         for (exp, idx), coeff in (terms or {}).items():
             # the key is checked even when the coefficient is zero
             exp = tuple(map(index, exp))
@@ -155,57 +152,32 @@ class _SparseTerms:
                 continue
             sign, idx = _sort_with_sign(idx)
             if sign:
-                _accumulate(canonical, (exp, idx), coeff if sign > 0 else -coeff)
-        self._store_fractions(dim, canonical)
-
-    def _store_fractions(self, dim, terms):
-        """Store a canonical Fraction map: the denominator is the lcm of its
-        denominators, which leaves no factor common to all numerators, and
-        the map itself becomes the cached ``terms``."""
-        den = math.lcm(*(c.denominator for c in terms.values()))
-        nums = {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
-        _store(self, dim, den, nums, terms)
-
-    @classmethod
-    def _from_canonical(cls, dim, terms):
-        """Wrap a term dict that is already canonical (sorted indices,
-        nonzero Fraction values) without checking it again; the dict is
-        taken over as ``terms``, not copied."""
-        out = object.__new__(cls)
-        out._store_fractions(dim, terms)
-        return out
+                signed.append(((exp, idx), sign, coeff))
+        den = math.lcm(*(c.denominator for _, _, c in signed))
+        totals = {}
+        for key, sign, c in signed:
+            totals[key] = totals.get(key, 0) + sign * c.numerator * (den // c.denominator)
+        _store(self, dim, *_normalised(totals, den))
 
     @classmethod
     def _wrap(cls, dim, nums, den):
         """Wrap nonzero integer numerators over ``den`` > 0 that are already
         normalised; the dict is taken over, not copied."""
         out = object.__new__(cls)
-        _store(out, dim, den, nums, None)
+        _store(out, dim, nums, den)
         return out
 
     @classmethod
     def _reduced(cls, dim, totals, den):
-        """The value of integer ``totals`` over ``den`` > 0: zero totals drop
-        out and the factor common to the denominator and all numerators is
-        divided out, so the result is normalised."""
-        nums = {key: t for key, t in totals.items() if t}
-        if den != 1:
-            g = math.gcd(den, *nums.values())
-            if g != 1:
-                den //= g
-                nums = {key: t // g for key, t in nums.items()}
-        return cls._wrap(dim, nums, den)
+        """The value of integer ``totals`` over ``den`` > 0, normalised."""
+        return cls._wrap(dim, *_normalised(totals, den))
 
     @property
     def terms(self):
         """The canonical ``(exponents, indices) -> Fraction`` mapping, built
-        on first read and cached."""
-        view = self._terms
-        if view is None:
-            den = self.den
-            view = {key: Fraction(c, den) for key, c in self.nums.items()}
-            object.__setattr__(self, "_terms", view)
-        return view
+        afresh on each read: changing it changes no value."""
+        den = self.den
+        return {key: Fraction(c, den) for key, c in self.nums.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -299,12 +271,11 @@ class _SparseTerms:
         return f"{name}(dim={self.dim}, {' + '.join(bits)})"
 
 
-def _store(obj, dim, den, nums, terms):
-    """Set the four slots of a new ``_SparseTerms``, past ``__setattr__``."""
+def _store(obj, dim, nums, den):
+    """Set the three slots of a new ``_SparseTerms``, past ``__setattr__``."""
     object.__setattr__(obj, "dim", dim)
     object.__setattr__(obj, "den", den)
     object.__setattr__(obj, "nums", nums)
-    object.__setattr__(obj, "_terms", terms)
 
 
 class PolyVectorField(_SparseTerms):
@@ -539,10 +510,9 @@ def linear_vector_field(matrix):
     """The linear vector field with coefficient of d_i equal to row i dot x,
     i.e. M -> M[i][j] x_j d_i."""
     n = matrix.dim
-    terms = {(_unit(n, j), (i + 1,)): c
-             for i, row in enumerate(matrix.entries)
-             for j, c in enumerate(row) if c}
-    return PolyVectorField._from_canonical(n, terms)
+    return PolyVectorField(n, {(_unit(n, j), (i + 1,)): c
+                               for i, row in enumerate(matrix.entries)
+                               for j, c in enumerate(row) if c})
 
 
 def _integer_rows(entries):
@@ -685,7 +655,5 @@ def from_skew_components(dim, components):
         if slot is None:
             continue
         sign, key, fact = slot
-        c = Fraction(sign * value, fact)
-        if c:
-            _accumulate(terms, key, c)
+        terms[key] = terms.get(key, 0) + Fraction(sign * value, fact)
     return PolyVectorField(dim, terms)

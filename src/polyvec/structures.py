@@ -17,7 +17,7 @@ from .errors import (
     ParityError,
     PreconditionError,
 )
-from .fields import PolyVectorField, _accumulate, _frac, euler, schouten, wedge
+from .fields import PolyVectorField, _frac, euler, schouten, wedge
 from . import linalg
 from .duality import trace_d
 from .decomposition import decompose
@@ -69,6 +69,7 @@ class RMatrix:
     __slots__ = ("dim", "coefficients")
 
     def __init__(self, dim, coefficients=None):
+        dim = index(dim)
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
         canonical = {}
@@ -83,9 +84,9 @@ class RMatrix:
                 continue
             if unit_a > unit_b:
                 unit_a, unit_b, coeff = unit_b, unit_a, -coeff
-            _accumulate(canonical, (unit_a, unit_b), coeff)
+            canonical[unit_a, unit_b] = canonical.get((unit_a, unit_b), 0) + coeff
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coefficients", canonical)
+        object.__setattr__(self, "coefficients", {k: c for k, c in canonical.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("RMatrix is immutable")
@@ -351,10 +352,10 @@ def r_matrix_to_bivector(r):
     n = r.dim
     terms = {}
     for ((i, j), (k, l)), c in r.coefficients.items():
-        if j == l:
-            continue
         exp = [0] * n
         exp[i - 1] += 1
         exp[k - 1] += 1
-        _accumulate(terms, (tuple(exp), (min(j, l), max(j, l))), c if j < l else -c)
-    return PolyVectorField._from_canonical(n, terms)
+        # the constructor sorts (j, l) with its sign and drops j == l
+        key = (tuple(exp), (j, l))
+        terms[key] = terms.get(key, 0) + c
+    return PolyVectorField(n, terms)

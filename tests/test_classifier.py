@@ -121,6 +121,23 @@ def test_tracefree_projection_fixes_tracefree_spaces():
     assert same_span(space.basis, again.basis)
 
 
+def test_solution_space_rejects_a_rescaled_copy():
+    u = pv("1/2*x1^2*d2 + 3/7*x2*x3*d1", 3)
+    with pytest.raises(PreconditionError):
+        SolutionSpace("dependent", (u, u.scale(Fraction(-5, 9))))
+    assert SolutionSpace("independent", (u, pv("x1*x3*d3", 3))).dimension == 2
+
+
+def test_rescaling_by_non_unit_fractions_changes_no_span_or_projection():
+    kernel = centralizer_kernel(CASE_B2, 2)
+    factors = [Fraction(-5, 9), Fraction(7, 2), Fraction(3), Fraction(-1, 11)]
+    rescaled = [b.scale(factors[i % len(factors)]) for i, b in enumerate(kernel.basis)]
+    assert same_span(kernel.basis, rescaled) and same_span(rescaled, kernel.basis)
+    assert not same_span(kernel.basis, rescaled[1:])
+    again = tracefree_projection(SolutionSpace("rescaled", tuple(rescaled)))
+    assert again.basis == tracefree_projection(kernel).basis
+
+
 def test_cubic3_catalog_single_solution_stratum():
     case = cubic3_catalog(CASE_A12)
     assert case.kernel.dimension == 1

@@ -65,6 +65,16 @@ def test_parse_errors_carry_positions():
         parse_expr("1/0", 3)
 
 
+def test_mutating_a_terms_view_changes_no_parsed_value():
+    text = "1/2*x1^2*d2 - 3*x2*x3*d1/\\d3"
+    u = parse_field(text, 3)
+    shown, ast = repr(u), parse_expr(text, 3)
+    u.terms[((0, 0, 0), (1,))] = Fraction(3)
+    u.terms.clear()
+    assert repr(u) == shown and u.terms == parse_field(text, 3).terms
+    assert parse_expr(text, 3) == ast and parse_expr(format_expr(u), 3) == ast
+
+
 def test_format_fixtures():
     assert format_expr(pv("x1^2*d2", 3)) == "x1^2*d2"
     assert format_expr(pv("x1^2*d2", 3), alias="xyz") == "x^2*dy"

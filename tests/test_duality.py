@@ -338,3 +338,17 @@ def test_sparse_values_are_immutable_and_hashable(cls, product):
             setattr(u, name, None)
     assert hash(u) == hash(cls(2, {((1, 0), (1,)): Fraction(1)}))
     assert repr(cls.zero(2)) == f"{cls.__name__}(dim=2, 0)"
+
+
+@SPARSE_KINDS
+def test_sparse_terms_is_a_fresh_copy(cls, product):
+    u = cls(3, {((1, 0, 0), (2,)): Fraction(1, 2), ((0, 1, 1), (3, 1)): 3})
+    expected = {((1, 0, 0), (2,)): Fraction(1, 2), ((0, 1, 1), (1, 3)): Fraction(-3)}
+    shown, stored, h, view = repr(u), (u.den, dict(u.nums)), hash(u), u.terms
+    assert view == expected and u.terms is not view
+    u.terms[((0, 0, 0), (3,))] = Fraction(3)
+    u.terms.clear()
+    view.clear()
+    assert repr(u) == shown and u.terms == expected
+    assert (u.den, u.nums) == stored and hash(u) == h
+    assert u == cls(3, expected)

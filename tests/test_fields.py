@@ -9,7 +9,9 @@ from polyvec import (
     DimensionError,
     HomogeneityError,
     LinearMatrix,
+    PolyDifferentialForm,
     PolyVectorField,
+    RMatrix,
     SingularMatrixError,
     euler,
     from_skew_components,
@@ -178,3 +180,17 @@ def test_zero_field_keeps_dimension():
     zero3 = PolyVectorField.zero(3)
     with pytest.raises(DimensionError):
         wedge(zero2, zero3)
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, "2"])
+def test_dimension_must_be_an_integer(dim):
+    builds = [
+        lambda: PolyVectorField(dim, {}),
+        lambda: PolyVectorField(dim, {((1, 0), (1,)): 1}),
+        lambda: PolyVectorField.zero(dim),
+        lambda: PolyDifferentialForm(dim, {((0, 1), (1, 2)): 1}),
+        lambda: RMatrix(dim, {}),
+    ]
+    for build in builds:
+        with pytest.raises(TypeError):
+            build()

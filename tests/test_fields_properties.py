@@ -26,6 +26,7 @@ from polyvec import (
     trace_d,
     wedge,
 )
+from polyvec.errors import DimensionError
 from polyvec.invariants import (
     field_failures,
     pair_failures,
@@ -34,6 +35,7 @@ from polyvec.invariants import (
     triple_failures,
 )
 from util import (
+    canonical_by_fractions,
     format_expr_fraction,
     pushforward_by_wedges,
     schouten_pairwise,
@@ -143,6 +145,66 @@ def test_values_built_by_different_routes_are_equal_and_hash_equal(pair):
     difference = u - u
     assert difference == zero and hash(difference) == hash(zero)
     assert (difference.dim, difference.den, difference.nums) == (u.dim, 1, {})
+
+
+# large pairwise coprime denominators (two primes and a prime power), so the
+# lcm the constructor sums over is their product, next to small ones
+RAW_COEFFICIENTS = st.one_of(
+    st.builds(Fraction, st.integers(-10**6, 10**6),
+              st.sampled_from([1, 6, 2**61 - 1, 10**12 + 39, 3**20])),
+    st.integers(-3, 3),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9)))
+
+
+def permutation_sign(seq):
+    """(-1)^(inversions of seq)."""
+    inversions = sum(a > b for a, b in combinations(seq, 2))
+    return -1 if inversions % 2 else 1
+
+
+@st.composite
+def raw_constructor_input(draw):
+    """A class, a dimension and a raw term map for its constructor: unsorted
+    and repeated indices (over-long ones too), zero coefficients, and keys
+    that permute an earlier key's indices with a coefficient that cancels
+    it or adds to it."""
+    cls = draw(st.sampled_from([PolyVectorField, PolyDifferentialForm]))
+    n = draw(st.integers(1, 5))
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        exp = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        idx = tuple(draw(st.one_of(st.lists(st.integers(1, n), max_size=n, unique=True),
+                                   st.lists(st.integers(1, n), max_size=n + 1))))
+        coeff = draw(RAW_COEFFICIENTS)
+        terms[(exp, idx)] = coeff
+        if draw(st.booleans()):
+            perm = tuple(draw(st.permutations(idx)))
+            cancelling = -Fraction(coeff) * permutation_sign(idx) * permutation_sign(perm)
+            terms[(exp, perm)] = draw(st.sampled_from([cancelling, draw(RAW_COEFFICIENTS)]))
+    return cls, n, terms
+
+
+def constructor_outcome(build):
+    """The value ``build()`` returns, or the message of its DimensionError."""
+    try:
+        return build()
+    except DimensionError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw_constructor_input())
+def test_constructor_equals_fraction_canonicaliser(case):
+    cls, n, terms = case
+    expected = constructor_outcome(lambda: canonical_by_fractions(cls, n, terms))
+    value = constructor_outcome(lambda: cls(n, terms))
+    if isinstance(expected, str):
+        assert value == expected
+        return
+    canonical, den, nums = expected
+    assert is_normalised(value)
+    assert (value.dim, value.den, value.nums) == (n, den, nums)
+    assert value.terms == canonical
 
 
 @st.composite

@@ -2,9 +2,11 @@
 as oracles and the catalog fixtures typed in from the printed tables.  The
 seeded random fields live in ``polyvec.invariants``."""
 
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 
 from polyvec import (
     LinearMatrix,
@@ -15,8 +17,50 @@ from polyvec import (
 from polyvec.classifier import QuadraticConstraintSet
 from polyvec.cli import _VAR_ALIASES, MAX_DEGREE, ExpressionAST
 from polyvec.duality import exterior_derivative
-from polyvec.errors import ParseError, PolyvecError
-from polyvec.fields import _accumulate, _sort_with_sign, merge_indices
+from polyvec.errors import DimensionError, ParseError, PolyvecError
+from polyvec.fields import _frac, _sort_with_sign, merge_indices
+
+
+def _accumulate(terms, key, c):
+    """Add the nonzero Fraction ``c`` into ``terms[key]``, dropping the key
+    when the sum cancels: the Fraction accumulation of the oracles here,
+    where the library sums integer numerators."""
+    old = terms.get(key)
+    if old is None:
+        terms[key] = c
+    else:
+        c += old
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+
+
+def canonical_by_fractions(cls, dim, terms):
+    """Reference constructor: checks each key as ``cls`` does, sums the
+    canonical keys' coefficients as Fractions and stores them over the lcm
+    of the sums' denominators.  Returns ``(terms, den, nums)``; same contract
+    as ``cls(dim, terms)``, kept only as an oracle."""
+    if dim < 1:
+        raise DimensionError(f"ambient dimension must be >= 1, got {dim}")
+    canonical = {}
+    for (exp, idx), coeff in terms.items():
+        exp = tuple(map(index, exp))
+        if len(exp) != dim or any(e < 0 for e in exp):
+            raise DimensionError(f"bad exponent tuple {exp} for dimension {dim}")
+        idx = tuple(map(index, idx))
+        if (any(j < 1 or j > dim for j in idx)
+                or (cls._overlong_raises and len(idx) > dim)):
+            raise DimensionError(f"{cls._index_kind} index out of range in {idx}")
+        coeff = _frac(coeff)
+        if not coeff:
+            continue
+        sign, idx = _sort_with_sign(idx)
+        if sign:
+            _accumulate(canonical, (exp, idx), coeff if sign > 0 else -coeff)
+    den = math.lcm(*(c.denominator for c in canonical.values()))
+    nums = {key: c.numerator * (den // c.denominator) for key, c in canonical.items()}
+    return canonical, den, nums
 
 
 def pv(text, n):
@@ -113,7 +157,7 @@ def schouten_pairwise(u, v):
                     sign = -sign
                 exp = tuple(x + y for x, y in zip(new_ea, eb))
                 _accumulate(terms, (exp, idx), outer * sign * factor * cab)
-    return PolyVectorField._from_canonical(u.dim, terms)
+    return PolyVectorField(u.dim, terms)
 
 
 def wedge_pairwise(u, v):
@@ -131,7 +175,7 @@ def wedge_pairwise(u, v):
             c = ca * cb
             _accumulate(terms, (tuple(x + y for x, y in zip(ea, eb)), idx),
                         c if sign > 0 else -c)
-    return u._from_canonical(u.dim, terms)
+    return type(u)(u.dim, terms)
 
 
 def pushforward_by_wedges(l_matrix, u):
@@ -144,17 +188,17 @@ def pushforward_by_wedges(l_matrix, u):
     inv = l_matrix.inverse().entries
     origin = (0,) * n
     coordinates = [
-        PolyVectorField._from_canonical(
+        PolyVectorField(
             n, {(tuple(int(s == t) for s in range(n)), ()): v
                 for t, v in enumerate(row) if v})
         for row in l_matrix.entries]
     partials = [
-        PolyVectorField._from_canonical(
+        PolyVectorField(
             n, {(origin, (i + 1,)): inv[i][j] for i in range(n) if inv[i][j]})
         for j in range(n)]
     out_terms = {}
     for (exp, idx), c in u.terms.items():
-        image = PolyVectorField._from_canonical(
+        image = PolyVectorField(
             n, {(origin, ()): c * det ** (len(idx) - 1)})
         for m, e in enumerate(exp):
             for _ in range(e):
@@ -163,7 +207,7 @@ def pushforward_by_wedges(l_matrix, u):
             image = image._wedge(partials[j - 1])
         for key, value in image.terms.items():
             _accumulate(out_terms, key, value)
-    return PolyVectorField._from_canonical(n, out_terms)
+    return PolyVectorField(n, out_terms)
 
 
 def trace_d_fraction(u):
@@ -179,7 +223,7 @@ def trace_d_fraction(u):
             sign = -1 if (ell - 1 - t) % 2 else 1
             new_exp = exp[:j - 1] + (e - 1,) + exp[j:]
             _accumulate(terms, (new_exp, idx[:t] + idx[t + 1:]), sign * e * c)
-    return PolyVectorField._from_canonical(u.dim, terms)
+    return PolyVectorField(u.dim, terms)
 
 
 def format_expr_fraction(obj, alias="numeric"):
