@@ -21,6 +21,7 @@ what reproduces the printed kernel bases of the catalog strata.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import add
 from typing import Optional
 
@@ -106,13 +107,20 @@ def _operator_kernel(basis, operator):
     The matrix has one sparse row per term key of the images: row ``key``
     maps the index of each basis element to the coefficient of ``key`` in its
     image, so it goes to ``linalg.nullspace`` without a dense transpose.
+    Each row is passed as integers, its numerators over the lcm of the
+    images' denominators in that row: scaling a row changes no nullspace.
     """
     rows = {}
     for j, b in enumerate(basis):
         image = operator(b)
+        den = image.den
         for key, c in image.nums.items():
-            rows.setdefault(key, {})[j] = Fraction(c, image.den)
-    vectors = linalg.nullspace(list(rows.values()), len(basis))
+            rows.setdefault(key, []).append((j, c, den))
+    matrix = []
+    for entries in rows.values():
+        common = lcm(*(den for _, _, den in entries))
+        matrix.append({j: c * (common // den) for j, c, den in entries})
+    vectors = linalg.nullspace(matrix, len(basis))
     return [_combine(basis, v) for v in vectors]
 
 
@@ -128,6 +136,16 @@ class SolutionSpace:
         if self.basis and linalg.rank(rows) != len(self.basis):
             raise PreconditionError("solution space basis is linearly dependent")
         object.__setattr__(self, "basis", tuple(self.basis))
+
+    @classmethod
+    def _independent(cls, ambient, basis):
+        """A space on a basis that is independent by construction, such as
+        one read off ``linalg.nullspace`` or ``linalg.rref``; the rank check
+        of the public constructor is skipped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient", ambient)
+        object.__setattr__(out, "basis", tuple(basis))
+        return out
 
     @property
     def dimension(self):
@@ -199,7 +217,7 @@ def centralizer_kernel(c_matrix, k):
         for j in range(1, n + 1)
     ]
     kernel = _operator_kernel(basis, lambda a: schouten(c_field, a))
-    return SolutionSpace(f"P^({k},1) in dimension {n}", tuple(kernel))
+    return SolutionSpace._independent(f"P^({k},1) in dimension {n}", kernel)
 
 
 def tracefree_projection(space):
@@ -207,12 +225,12 @@ def tracefree_projection(space):
     projected = [decompose(a).tracefree for a in space.basis]
     projected = [p for p in projected if not p.is_zero()]
     if not projected:
-        return SolutionSpace(f"trace-free part of {space.ambient}", ())
+        return SolutionSpace._independent(f"trace-free part of {space.ambient}", ())
     keys, rows = _coordinatize(projected)
     reduced, _ = linalg.rref(rows)
     dim = projected[0].dim
     fields = [PolyVectorField(dim, {keys[c]: v for c, v in row.items()}) for row in reduced]
-    return SolutionSpace(f"trace-free part of {space.ambient}", tuple(fields))
+    return SolutionSpace._independent(f"trace-free part of {space.ambient}", fields)
 
 
 def _catalog_case(matrix, kernel, tracefree_basis, constraints, generators):
@@ -278,7 +296,8 @@ def compatible_cubic_oneforms(a_matrix):
     a_field = matrix_action_field(a_matrix)
     kernel = _operator_kernel(
         cubic_oneform_basis(), lambda th: schouten(a_field, from_form(th)))
-    return SolutionSpace("cubic 1-forms in dimension 4 (80 coefficients)", tuple(kernel))
+    return SolutionSpace._independent(
+        "cubic 1-forms in dimension 4 (80 coefficients)", kernel)
 
 
 # The six ordered pairs (ab, cd) of complementary index pairs of (1, 2, 3, 4)

@@ -9,6 +9,7 @@ two can cross-check each other.
 from fractions import Fraction
 from itertools import combinations
 from operator import index
+from types import MappingProxyType
 
 from .errors import (
     DimensionError,
@@ -63,7 +64,8 @@ class RMatrix:
     sorted lexicographically; assigning to a swapped pair flips the sign and
     E_ij /\\ E_ij drops out.  Coefficients are exact rationals and unit
     indices integers; a float in either raises ``TypeError``.  Every key is
-    checked, also one whose coefficient is zero.
+    checked, also one whose coefficient is zero.  ``coefficients`` is a
+    read-only view, so no write can bypass these checks.
     """
 
     __slots__ = ("dim", "coefficients")
@@ -86,7 +88,8 @@ class RMatrix:
                 unit_a, unit_b, coeff = unit_b, unit_a, -coeff
             canonical[unit_a, unit_b] = canonical.get((unit_a, unit_b), 0) + coeff
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coefficients", {k: c for k, c in canonical.items() if c})
+        object.__setattr__(self, "coefficients",
+                           MappingProxyType({k: c for k, c in canonical.items() if c}))
 
     def __setattr__(self, name, value):
         raise AttributeError("RMatrix is immutable")
@@ -162,28 +165,28 @@ def generic_rank(p):
     one grows S by {i, j} and the test repeats, so a point where M happens
     to lose rank costs time, never a wrong answer.
 
-    M is read as the integer numerators of ``p``, i.e. ``p.den`` times M:
-    a positive scalar changes no pivot and no Pfaffian's vanishing, so the
+    M is read as the integer numerators of ``p``, i.e. ``p.den`` times M,
+    and its value at the point as the integer matrix of
+    ``_scaled_point_values``, a further positive multiple.  A positive
+    scalar changes no pivot column and no Pfaffian's vanishing, so S, the
+    Pfaffians' zero tests and the rank are those of M itself, and the
     Pfaffians stay integer polynomials.
     """
     for ell in p.vector_degrees():
         if ell != 2:
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
     n = p.dim
-    entries, values = {}, {}
+    entries = {}
     for (exp, ij), c in p.nums.items():
         entries.setdefault(ij, {})[(exp, ())] = c
-        for m, e in enumerate(exp, 1):
-            if e:
-                c *= (m + Fraction(1, m + 1)) ** e
-        values[ij] = values.get(ij, 0) + c
     upper = {ij: PolyVectorField._wrap(n, nums, 1) for ij, nums in entries.items()}
+    values = _scaled_point_values(p)
     support = sorted({i for ij in entries for i in ij})
     at_point = [[values.get((i, j), 0) if i < j else -values.get((j, i), 0)
                  for j in support] for i in support]
     _, pivots = linalg.rref(at_point)
     chosen = [support[c] for c in pivots]
-    memo = {(): PolyVectorField.constant(1, n)}
+    memo = {(): PolyVectorField._wrap(n, {((0,) * n, ()): 1}, 1)}
     while True:
         rest = [i for i in support if i not in chosen]
         for i, j in combinations(rest, 2):
@@ -192,6 +195,27 @@ def generic_rank(p):
                 break
         else:
             return len(chosen)
+
+
+def _scaled_point_values(p):
+    """Upper entries ``{(i, j): int}`` of the integer numerators of the
+    bi-vector ``p`` at x_m = a_m / b_m, a_m = m(m + 1) + 1 and b_m = m + 1,
+    times prod_m b_m^top_m, where top_m is the largest exponent of x_m in
+    ``p``.  A term c x^e then contributes the integer
+    c prod_m a_m^e_m b_m^(top_m - e_m), read from one table per variable."""
+    nums = p.nums
+    top = [max(column) for column in zip(*(exp for exp, _ in nums))]
+    tables = []
+    for m, t in enumerate(top):
+        if t:
+            a, b = (m + 1) * (m + 2) + 1, m + 2
+            tables.append((m, [a ** e * b ** (t - e) for e in range(t + 1)]))
+    values = {}
+    for (exp, ij), c in nums.items():
+        for m, table in tables:
+            c *= table[exp[m]]
+        values[ij] = values.get(ij, 0) + c
+    return values
 
 
 def _pfaffian(n, rows, upper, memo):

@@ -21,6 +21,7 @@ from polyvec import (
     is_poisson,
     is_simple,
     lie_derivative_form,
+    linalg,
     matrix_action_field,
     pushforward,
     quad4_catalog,
@@ -126,6 +127,22 @@ def test_solution_space_rejects_a_rescaled_copy():
     with pytest.raises(PreconditionError):
         SolutionSpace("dependent", (u, u.scale(Fraction(-5, 9))))
     assert SolutionSpace("independent", (u, pv("x1*x3*d3", 3))).dimension == 2
+
+
+def test_catalog_spaces_are_not_ranked_again(monkeypatch):
+    """Kernel and trace-free bases come from nullspace and rref, independent
+    by construction, so the catalogs rank none of them; the public
+    constructor still checks its basis."""
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(rows) or real(rows))
+    cubic3_catalog(CASE_A12)
+    quad4_catalog(QUAD4_NILPOTENT)
+    assert calls == []
+    u = pv("x1^2*d2", 3)
+    with pytest.raises(PreconditionError):
+        SolutionSpace("dependent", (u, u.scale(3)))
+    assert len(calls) == 1
 
 
 def test_rescaling_by_non_unit_fractions_changes_no_span_or_projection():

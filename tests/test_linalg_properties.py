@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from polyvec import linalg
-from util import rref_dense
+from util import rref_by_fractions, rref_dense
 
 # Mostly zeros, so sparse rows and rank drops are common.
 ENTRIES = st.one_of(
@@ -16,12 +16,49 @@ ENTRIES = st.one_of(
     st.fractions(min_value=-4, max_value=4, max_denominator=4),
 )
 
+# Large pairwise coprime denominators make the lcm that clears a row, and
+# the cross-multiplied entries, far larger than any single entry.
+LARGE_PRIMES = (1_000_003, 998_244_353, 2**61 - 1, 10**9 + 7)
+WIDE_ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.builds(Fraction, st.integers(-10**20, 10**20), st.sampled_from(LARGE_PRIMES)),
+    st.integers(-10**6, 10**6).map(Fraction),
+)
+
+# Row factors: content 1, negated leads, and contents that are not 1.
+ROW_FACTORS = (1, -1, 6, -35, 3 * 2**70)
+
 
 @st.composite
-def matrices(draw, max_rows=6, max_cols=6):
+def matrices(draw, max_rows=6, max_cols=6, entries=ENTRIES):
     nrows = draw(st.integers(0, max_rows))
     ncols = draw(st.integers(1, max_cols))
-    return [draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    return [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+
+
+@st.composite
+def mixed_matrices(draw, max_rows=7, max_cols=7):
+    """Matrices of ``WIDE_ENTRIES``: each row is scaled by one of
+    ``ROW_FACTORS`` or replaced by zeros, and each entry is spelled as a
+    ``Fraction``, an ``int`` when it is integral, or a ``str``."""
+    out = []
+    for row in draw(matrices(max_rows, max_cols, WIDE_ENTRIES)):
+        if draw(st.integers(0, 5)) == 0:
+            row = [Fraction(0)] * len(row)
+        factor = draw(st.sampled_from(ROW_FACTORS))
+        spelled = []
+        for x in row:
+            x *= factor
+            form = draw(st.sampled_from(("fraction", "int", "str")))
+            if form == "str":
+                spelled.append(str(x))
+            elif form == "int" and x.denominator == 1:
+                spelled.append(int(x))
+            else:
+                spelled.append(x)
+        out.append(spelled)
+    return out
 
 
 @settings(derandomize=True, max_examples=60)
@@ -57,4 +94,27 @@ def test_rref_ignores_added_row_combinations(rows, data):
 @settings(derandomize=True, max_examples=60)
 @given(matrices(max_rows=8, max_cols=8))
 def test_rref_equals_dense_oracle(rows):
-    assert linalg.rref(rows) == rref_dense(rows)
+    assert linalg.rref(rows) == rref_dense(rows) == rref_by_fractions(rows)
+
+
+@settings(derandomize=True, max_examples=80)
+@given(mixed_matrices())
+def test_rref_of_mixed_entries_equals_both_oracles(rows):
+    reduced, pivots = linalg.rref(rows)
+    assert (reduced, pivots) == rref_dense(rows) == rref_by_fractions(rows)
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+@settings(derandomize=True, max_examples=80)
+@given(mixed_matrices(), st.data())
+def test_rref_of_mixed_sparse_rows_equals_both_oracles(rows, data):
+    """Sparse rows keep some explicit zeros, and empty rows are mixed in."""
+    ncols = len(rows[0]) if rows else 1
+    sparse = [{c: x for c, x in enumerate(row) if Fraction(x) or data.draw(st.booleans())}
+              for row in rows]
+    sparse += [{}] * data.draw(st.integers(0, 2))
+    reduced, pivots = linalg.rref(sparse)
+    assert (reduced, pivots) == rref_by_fractions(sparse)
+    assert all(type(x) is Fraction and x for row in reduced for x in row.values())
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in reduced]
+    assert (dense, pivots) == rref_dense(rows)

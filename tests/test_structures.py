@@ -35,11 +35,13 @@ from util import (
     CASE_A12,
     g_ab_bivector,
     generic_rank_by_minors,
+    point_values_by_fractions,
     pv,
     random_invertible,
     so3_bivector,
 )
 from polyvec.classifier import cubic3_catalog
+from polyvec.structures import _scaled_point_values
 
 
 def test_is_poisson_examples():
@@ -164,6 +166,47 @@ def rank_at_documented_point(p):
         skew[i - 1][j - 1] += c
         skew[j - 1][i - 1] -= c
     return linalg.rank(skew)
+
+
+def scale_cases():
+    """Seeded bi-vectors: homogeneous ones and sums of two degrees, so the
+    exponent of a variable differs between terms (top_m - e_m varies)."""
+    rng = random.Random(1414)
+    cases = [PolyVectorField.zero(4), symplectic(5), so3_bivector(), g_ab_bivector(2, 0),
+             times_vanishing_form(symplectic(4))]
+    for n in (2, 3, 4, 5, 6, 7):
+        for _ in range(4):
+            k = rng.randint(0, 3)
+            p = random_nonzero(rng, n, k, 2, nterms=rng.randint(1, 8))
+            cases += [p, p + random_nonzero(rng, n, rng.randint(0, 4), 2, nterms=4)]
+    return cases
+
+
+def test_integer_point_is_a_positive_multiple_of_the_fraction_point():
+    """generic_rank's integer matrix is prod_m b_m^top_m times the matrix of
+    the Fraction evaluation at x_m = m + 1/(m + 1), entry for entry, and the
+    two have the same pivot columns."""
+    varied = 0
+    for p in scale_cases():
+        exps = [exp for exp, _ in p.nums]
+        top = [max(column) for column in zip(*exps)]
+        varied += any(len({exp[m] for exp in exps}) > 1 for m in range(len(top)))
+        scale = 1
+        for m, t in enumerate(top, 1):
+            scale *= (m + 1) ** t
+        values = _scaled_point_values(p)
+        oracle = point_values_by_fractions(p)
+        assert values.keys() == oracle.keys()
+        for ij, v in values.items():
+            assert type(v) is int and v == scale * oracle[ij], (p, ij)
+        support = sorted({i for ij in values for i in ij})
+
+        def skew(vals):
+            return [[vals.get((i, j), 0) if i < j else -vals.get((j, i), 0)
+                     for j in support] for i in support]
+
+        assert linalg.rref(skew(values))[1] == linalg.rref(skew(oracle))[1]
+    assert varied > 20
 
 
 def test_generic_rank_matches_minor_oracle():
@@ -344,6 +387,16 @@ def test_r_matrix_refuses_float_coefficients():
 def test_r_matrix_refuses_non_integral_unit_indices():
     with pytest.raises(TypeError):
         RMatrix(2, {((1.9, 1), (2, 2)): 1})
+
+
+def test_r_matrix_coefficients_cannot_be_changed_past_the_checks():
+    r = RMatrix(2, {((1, 1), (2, 2)): 1})
+    with pytest.raises(TypeError):
+        r.coefficients[((1, 1), (3, 3))] = Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        r.coefficients.clear()
+    assert r.coefficients == {((1, 1), (2, 2)): 1}
+    assert r_matrix_to_bivector(r) == pv("x1*x2*d1/\\d2", 2)
 
 
 def test_r_matrix_checks_the_key_of_a_zero_coefficient():

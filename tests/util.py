@@ -4,6 +4,7 @@ seeded random fields live in ``polyvec.invariants``."""
 
 import math
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from operator import index
@@ -514,6 +515,78 @@ def rref_dense(rows):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def rref_by_fractions(rows):
+    """Reference sparse reduced row echelon form: each row becomes
+    ``{column: Fraction}`` and goes through ``eliminate_fractions``.  Same
+    contract as ``linalg.rref`` on dense and sparse rows; kept only as an
+    oracle."""
+    rows = list(rows)
+    sparse = []
+    for row in rows:
+        items = row.items() if isinstance(row, Mapping) else enumerate(row)
+        sparse.append({c: Fraction(x) for c, x in items if Fraction(x)})
+    reduced, pivots = eliminate_fractions(sparse)
+    if rows and not isinstance(rows[0], Mapping):
+        ncols = len(rows[0])
+        return [[row.get(c, Fraction(0)) for c in range(ncols)] for row in reduced], pivots
+    return reduced, pivots
+
+
+def eliminate_fractions(rows):
+    """Reference sparse Gauss-Jordan over Fraction on rows ``{column:
+    Fraction}``, which it consumes: the sparsest row with an entry in a
+    column is its pivot and is scaled to a leading 1.  Same contract as
+    ``linalg._eliminate``; kept only as an oracle."""
+    pending = [row for row in rows if row]
+    reduced, pivots = [], []
+    for c in sorted({c for row in pending for c in row}):
+        if not pending:
+            break
+        candidates = [i for i, row in enumerate(pending) if c in row]
+        if not candidates:
+            continue
+        pivot = pending.pop(min(candidates, key=lambda i: len(pending[i])))
+        lead = pivot.pop(c)
+        if lead != 1:
+            inv = 1 / lead
+            pivot = {k: v * inv for k, v in pivot.items()}
+        update = list(pivot.items())
+        for group in (pending, reduced):
+            for row in group:
+                f = row.pop(c, None)
+                if f is None:
+                    continue
+                for k, v in update:
+                    w = row.get(k)
+                    if w is None:
+                        row[k] = -f * v
+                    else:
+                        w -= f * v
+                        if w:
+                            row[k] = w
+                        else:
+                            del row[k]
+        pending = [row for row in pending if row]
+        pivot[c] = Fraction(1)
+        reduced.append(pivot)
+        pivots.append(c)
+    return reduced, pivots
+
+
+def point_values_by_fractions(p):
+    """Reference evaluation of ``generic_rank``: the upper entries
+    ``{(i, j): Fraction}`` of the integer numerators of the bi-vector ``p``
+    at x_m = m + 1/(m + 1), in Fraction arithmetic.  Kept only as an
+    oracle of ``structures._scaled_point_values``."""
+    values = {}
+    for (exp, ij), c in p.nums.items():
+        for m, e in enumerate(exp, 1):
+            if e:
+                c *= (m + Fraction(1, m + 1)) ** e
+        values[ij] = values.get(ij, 0) + c
+    return values
 
 
 def random_rational_matrix(rng, nrows, ncols, density):
