@@ -93,35 +93,35 @@ def same_span(elements_a, elements_b):
     return linalg.span_equal(rows[:split], rows[split:], len(keys))
 
 
-def _combine(basis, vector):
-    out = basis[0].scale(vector[0])
-    for b, c in zip(basis[1:], vector[1:]):
-        if c:
-            out = out + b.scale(c)
-    return out
+def _from_coordinates(cls, dim, keys, items):
+    """The element of ``cls`` whose coefficient at ``keys[c]`` is ``v`` for
+    each coordinate ``(c, v)`` in ``items``: the inverse of ``_coordinatize``."""
+    return cls(dim, {keys[c]: v for c, v in items if v})
 
 
-def _operator_kernel(basis, operator):
-    """Exact nullspace of a linear operator given by its action on a basis.
+def _operator_kernel(cls, dim, keys, operator):
+    """Exact nullspace of a linear operator on the span of the unit terms of
+    ``cls`` at ``keys``; the order of ``keys`` fixes the canonical basis.
 
     The matrix has one sparse row per term key of the images: row ``key``
-    maps the index of each basis element to the coefficient of ``key`` in its
-    image, so it goes to ``linalg.nullspace`` without a dense transpose.
-    Each row is passed as integers, its numerators over the lcm of the
-    images' denominators in that row: scaling a row changes no nullspace.
+    maps the column of each unit to the coefficient of ``key`` in its image,
+    so it goes to ``linalg.nullspace`` without a dense transpose.  Each row
+    is passed as integers, its numerators over the lcm of the images'
+    denominators in that row: scaling a row changes no nullspace.  A
+    nullspace vector is the coefficient vector of its element over ``keys``.
     """
     rows = {}
-    for j, b in enumerate(basis):
-        image = operator(b)
+    for j, key in enumerate(keys):
+        image = operator(cls._wrap(dim, {key: 1}, 1))
         den = image.den
-        for key, c in image.nums.items():
-            rows.setdefault(key, []).append((j, c, den))
+        for image_key, c in image.nums.items():
+            rows.setdefault(image_key, []).append((j, c, den))
     matrix = []
     for entries in rows.values():
         common = lcm(*(den for _, _, den in entries))
         matrix.append({j: c * (common // den) for j, c, den in entries})
-    vectors = linalg.nullspace(matrix, len(basis))
-    return [_combine(basis, v) for v in vectors]
+    vectors = linalg.nullspace(matrix, len(keys))
+    return [_from_coordinates(cls, dim, keys, enumerate(v)) for v in vectors]
 
 
 @dataclass(frozen=True)
@@ -211,12 +211,8 @@ def centralizer_kernel(c_matrix, k):
         raise PreconditionError(f"polynomial degree must be >= 0, got {k}")
     n = c_matrix.dim
     c_field = matrix_action_field(c_matrix)
-    basis = [
-        PolyVectorField.single(n, 1, exp, (j,))
-        for exp in monomial_exponents(n, k)
-        for j in range(1, n + 1)
-    ]
-    kernel = _operator_kernel(basis, lambda a: schouten(c_field, a))
+    keys = [(exp, (j,)) for exp in monomial_exponents(n, k) for j in range(1, n + 1)]
+    kernel = _operator_kernel(PolyVectorField, n, keys, lambda a: schouten(c_field, a))
     return SolutionSpace._independent(f"P^({k},1) in dimension {n}", kernel)
 
 
@@ -229,7 +225,7 @@ def tracefree_projection(space):
     keys, rows = _coordinatize(projected)
     reduced, _ = linalg.rref(rows)
     dim = projected[0].dim
-    fields = [PolyVectorField(dim, {keys[c]: v for c, v in row.items()}) for row in reduced]
+    fields = [_from_coordinates(PolyVectorField, dim, keys, row.items()) for row in reduced]
     return SolutionSpace._independent(f"trace-free part of {space.ambient}", fields)
 
 
@@ -270,15 +266,6 @@ def cubic3_catalog(c_matrix):
     return case
 
 
-def cubic_oneform_basis():
-    """The 80 basis 1-forms theta = x^(mno) dx^k in display order, k major."""
-    basis = []
-    for k in range(1, 5):
-        for exp in CUBIC4_DISPLAY_ORDER:
-            basis.append(PolyDifferentialForm(4, {(exp, (k,)): Fraction(1)}))
-    return basis
-
-
 def compatible_cubic_oneforms(a_matrix):
     """Kernel of theta -> L_A theta on cubic 1-forms in dimension four.
 
@@ -294,8 +281,9 @@ def compatible_cubic_oneforms(a_matrix):
     if a_matrix.trace() != 0:
         raise PreconditionError("stratum matrix must be trace-free")
     a_field = matrix_action_field(a_matrix)
-    kernel = _operator_kernel(
-        cubic_oneform_basis(), lambda th: schouten(a_field, from_form(th)))
+    keys = [(exp, (k,)) for k in range(1, 5) for exp in CUBIC4_DISPLAY_ORDER]
+    kernel = _operator_kernel(PolyDifferentialForm, 4, keys,
+                              lambda th: schouten(a_field, from_form(th)))
     return SolutionSpace._independent(
         "cubic 1-forms in dimension 4 (80 coefficients)", kernel)
 

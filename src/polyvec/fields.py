@@ -38,7 +38,9 @@ from . import linalg
 
 
 def _frac(x):
-    if isinstance(x, Fraction):
+    """``x`` as an exact rational; an ``int`` (not a ``bool``) or a
+    ``Fraction`` is returned as it is."""
+    if type(x) is int or isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
         return Fraction(x)
@@ -618,8 +620,13 @@ def _skew_slot(dim, lower, upper):
     """Locate the skew-convention component A_{lower}^{upper}.
 
     Returns ``(sign, term key, prod of the exponent factorials)``, or
-    ``None`` when ``upper`` repeats an index.
+    ``None`` when ``upper`` repeats an index.  An index outside 1..dim
+    raises ``DimensionError``.
     """
+    if any(not 1 <= i <= dim for i in lower):
+        raise DimensionError(f"coordinate index out of range in {tuple(lower)}")
+    if any(not 1 <= j <= dim for j in upper):
+        raise DimensionError(f"partial index out of range in {tuple(upper)}")
     sign, idx = _sort_with_sign(tuple(upper))
     if sign == 0:
         return None

@@ -32,7 +32,7 @@ from polyvec import (
     trace_d,
     wedge_forms,
 )
-from polyvec.classifier import SolutionSpace, cubic_oneform_basis
+from polyvec.classifier import CUBIC4_DISPLAY_ORDER, SolutionSpace, monomial_exponents
 from util import (
     BASIS_C_CORRECTED,
     BASIS_D2_CORRECTED,
@@ -49,6 +49,8 @@ from util import (
     QUAD4_DIAGONAL,
     QUAD4_NILPOTENT,
     QUAD4_ROTATION,
+    centralizer_kernel_by_basis,
+    compatible_cubic_oneforms_by_basis,
     fields_from,
     pv,
     quad4_diagonal_family,
@@ -225,7 +227,95 @@ def test_compatible_oneforms_satisfy_defining_equation():
 
 
 def test_oneform_basis_has_eighty_elements():
-    assert len(cubic_oneform_basis()) == 80
+    """The 80 keys x^(mno) dx^k, k major, are distinct and cover every cubic
+    1-form term; for A = 0 each unit 1-form is a kernel element, in key
+    order."""
+    keys = [(exp, (k,)) for k in range(1, 5) for exp in CUBIC4_DISPLAY_ORDER]
+    assert len(set(keys)) == 80
+    assert sorted(CUBIC4_DISPLAY_ORDER) == sorted(monomial_exponents(4, 3))
+    kernel = compatible_cubic_oneforms(LinearMatrix.diagonal([0, 0, 0, 0]))
+    assert [dict(theta.nums) for theta in kernel.basis] == [{key: 1} for key in keys]
+    assert all(theta.den == 1 for theta in kernel.basis)
+
+
+CUBIC3_STRATA = {"A12": CASE_A12, "A2": CASE_A2, "A3": CASE_A3,
+                 "B2": CASE_B2, "C": CASE_C, "D2": CASE_D2}
+QUAD4_STRATA = {"diagonal": QUAD4_DIAGONAL, "nilpotent": QUAD4_NILPOTENT,
+                "rotation": QUAD4_ROTATION, "zero": LinearMatrix.diagonal([0, 0, 0, 0])}
+
+
+def _stratum_kernel(label):
+    """The kernel call of a catalog stratum and its oracle on validated basis
+    objects: [C, A] = 0 on quadratic fields in dimension three, L_A theta = 0
+    on cubic 1-forms in dimension four."""
+    if label in CUBIC3_STRATA:
+        matrix = CUBIC3_STRATA[label]
+        return (lambda: centralizer_kernel(matrix, 2),
+                lambda: centralizer_kernel_by_basis(matrix, 2))
+    matrix = QUAD4_STRATA[label]
+    return (lambda: compatible_cubic_oneforms(matrix),
+            lambda: compatible_cubic_oneforms_by_basis(matrix))
+
+
+def _assert_same_kernel(space, oracle):
+    assert [type(b) for b in space.basis] == [type(b) for b in oracle]
+    assert list(space.basis) == oracle
+
+
+def _rational_tracefree(rng, n):
+    """Seeded rational n x n matrix with trace zero, about half its
+    off-diagonal entries zero."""
+    rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if i == j or rng.random() < 0.5
+             else Fraction(0) for j in range(n)] for i in range(n)]
+    rows[-1][-1] -= sum(rows[i][i] for i in range(n))
+    return LinearMatrix(rows)
+
+
+@pytest.mark.parametrize("label", sorted(CUBIC3_STRATA) + sorted(QUAD4_STRATA))
+def test_stratum_kernels_equal_the_basis_oracle(label):
+    kernel, oracle = _stratum_kernel(label)
+    _assert_same_kernel(kernel(), oracle())
+
+
+def test_seeded_kernels_equal_the_basis_oracle():
+    """Same type, order and elements as the operator solved on basis objects:
+    centralizers at k = 0..3 of seeded rational trace-free 3 x 3 matrices,
+    and compatible cubic 1-forms of seeded rational conjugates of the
+    dimension-four strata."""
+    rng = random.Random(15)
+    dims = set()
+    for k in range(4):
+        for _ in range(3):
+            matrix = _rational_tracefree(rng, 3)
+            space = centralizer_kernel(matrix, k)
+            _assert_same_kernel(space, centralizer_kernel_by_basis(matrix, k))
+            dims.add(space.dimension)
+    for stratum in (QUAD4_DIAGONAL, QUAD4_NILPOTENT, QUAD4_ROTATION):
+        l_matrix = random_invertible(rng, 4, bound=2)
+        matrix = l_matrix.matmul(stratum).matmul(l_matrix.inverse())
+        assert matrix.trace() == 0
+        space = compatible_cubic_oneforms(matrix)
+        _assert_same_kernel(space, compatible_cubic_oneforms_by_basis(matrix))
+        dims.add(space.dimension)
+    assert 0 in dims and len(dims) > 2
+
+
+@pytest.mark.parametrize("label", sorted(CUBIC3_STRATA) + sorted(QUAD4_STRATA))
+def test_kernel_runs_the_checked_constructor_once_per_element(monkeypatch, label):
+    """The operator's units and images skip the validating constructor: one
+    call builds the operator's linear field and one each kernel element."""
+    from polyvec import fields
+    calls = []
+    real = fields._SparseTerms.__init__
+
+    def counting(self, *args):
+        calls.append(type(self))
+        real(self, *args)
+
+    monkeypatch.setattr(fields._SparseTerms, "__init__", counting)
+    kernel, _ = _stratum_kernel(label)
+    space = kernel()
+    assert len(calls) <= space.dimension + 1
 
 
 def test_quartic_constraints_identically_zero_families():

@@ -75,6 +75,28 @@ def test_mutating_a_terms_view_changes_no_parsed_value():
     assert parse_expr(text, 3) == ast and parse_expr(format_expr(u), 3) == ast
 
 
+def test_parsing_integer_coefficients_builds_no_fraction():
+    """An all-integer expression goes from the parser to the stored integer
+    numerators without constructing one Fraction."""
+    text = " + ".join(f"{10 * a + b + 1}*x1^{a}*x2^{b}*d{j}"
+                      for a in range(10) for b in range(10) for j in (1, 2))
+    original = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        field = cli.parse_field(text, 2)
+    finally:
+        Fraction.__new__ = staticmethod(original)
+    assert len(field.nums) == 200 and field.den == 1
+    assert field.nums[(9, 9), (2,)] == 100
+    assert built == []
+
+
 def test_format_fixtures():
     assert format_expr(pv("x1^2*d2", 3)) == "x1^2*d2"
     assert format_expr(pv("x1^2*d2", 3), alias="xyz") == "x^2*dy"

@@ -175,6 +175,24 @@ def test_skew_component_conversion():
     assert from_skew_components(3, {((1, 1), (2,)): 2}) == quad
 
 
+_X3_D1 = from_skew_components(3, {((3,), (1,)): 1})
+
+
+@pytest.mark.parametrize("convert", [
+    lambda: skew_component(_X3_D1, (0,), (1,)),
+    lambda: skew_component(_X3_D1, (4,), (1,)),
+    lambda: skew_component(_X3_D1, (3,), (0,)),
+    lambda: skew_component(_X3_D1, (3,), (5,)),
+    lambda: from_skew_components(3, {((0,), (1,)): 1}),
+], ids=["lower-0", "lower-4", "upper-0", "upper-5", "build-lower-0"])
+def test_skew_conversion_checks_its_indices(convert):
+    """An index outside 1..n neither wraps to x_n, nor raises a bare
+    IndexError, nor reads as a zero component."""
+    assert _X3_D1 == pv("x3*d1", 3)
+    with pytest.raises(DimensionError, match="index out of range"):
+        convert()
+
+
 def test_zero_field_keeps_dimension():
     zero2 = PolyVectorField.zero(2)
     zero3 = PolyVectorField.zero(3)

@@ -7,19 +7,38 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from operator import index
 
 from polyvec import (
     LinearMatrix,
     PolyDifferentialForm,
     PolyVectorField,
+    from_form,
+    linalg,
+    matrix_action_field,
     parse_field,
+    schouten,
 )
-from polyvec.classifier import QuadraticConstraintSet
+from polyvec.classifier import (
+    CUBIC4_DISPLAY_ORDER,
+    QuadraticConstraintSet,
+    monomial_exponents,
+)
 from polyvec.cli import _VAR_ALIASES, MAX_DEGREE, ExpressionAST
 from polyvec.duality import exterior_derivative
 from polyvec.errors import DimensionError, ParseError, PolyvecError
-from polyvec.fields import _frac, _sort_with_sign, merge_indices
+from polyvec.fields import _sort_with_sign, merge_indices
+
+
+def _frac(x):
+    """The library's converter as it was when integers still became
+    Fractions; kept so that ``canonical_by_fractions`` stays the oracle."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def _accumulate(terms, key, c):
@@ -587,6 +606,70 @@ def point_values_by_fractions(p):
                 c *= (m + Fraction(1, m + 1)) ** e
         values[ij] = values.get(ij, 0) + c
     return values
+
+
+def _combine(basis, vector):
+    out = basis[0].scale(vector[0])
+    for b, c in zip(basis[1:], vector[1:]):
+        if c:
+            out = out + b.scale(c)
+    return out
+
+
+def operator_kernel_by_basis(basis, operator):
+    """Exact nullspace of a linear operator given by its action on a basis.
+
+    The matrix has one sparse row per term key of the images: row ``key``
+    maps the index of each basis element to the coefficient of ``key`` in its
+    image, so it goes to ``linalg.nullspace`` without a dense transpose.
+    Each row is passed as integers, its numerators over the lcm of the
+    images' denominators in that row: scaling a row changes no nullspace.
+    """
+    rows = {}
+    for j, b in enumerate(basis):
+        image = operator(b)
+        den = image.den
+        for key, c in image.nums.items():
+            rows.setdefault(key, []).append((j, c, den))
+    matrix = []
+    for entries in rows.values():
+        common = lcm(*(den for _, _, den in entries))
+        matrix.append({j: c * (common // den) for j, c, den in entries})
+    vectors = linalg.nullspace(matrix, len(basis))
+    return [_combine(basis, v) for v in vectors]
+
+
+def cubic_oneform_basis():
+    """The 80 basis 1-forms theta = x^(mno) dx^k in display order, k major."""
+    basis = []
+    for k in range(1, 5):
+        for exp in CUBIC4_DISPLAY_ORDER:
+            basis.append(PolyDifferentialForm(4, {(exp, (k,)): Fraction(1)}))
+    return basis
+
+
+def centralizer_kernel_by_basis(c_matrix, k):
+    """Reference basis of {A in P^(k,1) : [C, A] = 0}: the operator solved on
+    validated basis fields, each kernel element a sum of scaled basis
+    fields.  Same list as ``centralizer_kernel(c_matrix, k).basis``; kept
+    only as an oracle."""
+    n = c_matrix.dim
+    c_field = matrix_action_field(c_matrix)
+    basis = [
+        PolyVectorField.single(n, 1, exp, (j,))
+        for exp in monomial_exponents(n, k)
+        for j in range(1, n + 1)
+    ]
+    return operator_kernel_by_basis(basis, lambda a: schouten(c_field, a))
+
+
+def compatible_cubic_oneforms_by_basis(a_matrix):
+    """Reference kernel of theta -> [A, Psi^-1 theta] on the 80 basis 1-forms
+    of ``cubic_oneform_basis``.  Same list as
+    ``compatible_cubic_oneforms(a_matrix).basis``; kept only as an oracle."""
+    a_field = matrix_action_field(a_matrix)
+    return operator_kernel_by_basis(
+        cubic_oneform_basis(), lambda th: schouten(a_field, from_form(th)))
 
 
 def random_rational_matrix(rng, nrows, ncols, density):
