@@ -163,8 +163,10 @@ def dim_irrep(n, k, ell):
     Defined for 0 <= l <= n - 1 and k >= 0; for k = l it agrees with
     (1/(k!)^2) prod_{j=1..k} (n^2 - j^2).
     """
-    if n < 1 or k < 0 or ell < 0:
-        raise DomainError(f"negative arguments: n={n}, k={k}, l={ell}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got n={n}")
+    if k < 0 or ell < 0:
+        raise DomainError(f"k and l must be >= 0, got k={k}, l={ell}")
     if ell >= n:
         raise DomainError(f"l = {ell} >= n = {n} is outside the formula's domain")
     # (n + k)! / (k! l! (n - l - 1)!) = C(n + k, k) * n * C(n - 1, l), which

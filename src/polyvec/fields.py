@@ -501,6 +501,8 @@ class LinearMatrix:
         return LinearMatrix(inv)
 
     def matmul(self, other):
+        if self.dim != other.dim:
+            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return LinearMatrix(linalg.mat_mul(
             [list(r) for r in self.entries], [list(r) for r in other.entries]))
 

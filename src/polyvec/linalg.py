@@ -13,7 +13,8 @@ changes neither its span nor its place in the elimination, so each reduced
 row becomes ``Fraction(value, lead)`` once, at the end.  The classifier's
 kernel matrices (80 unknowns, 1-5 % nonzero) stay sparse throughout.  The
 reduced row echelon form is unique, so the choice of pivot rows changes the
-cost of ``rref`` and never its answer.
+cost of ``rref`` and never its answer.  ``determinant`` reads its value off
+the same elimination.
 
 A matrix is a list of rows; a row is a sequence (dense) or a mapping
 ``{column: value}`` (sparse, absent columns are zero).  Entries are ints or
@@ -22,7 +23,9 @@ anything ``Fraction`` accepts.
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+
+from .errors import DimensionError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -31,7 +34,7 @@ _ONE = Fraction(1)
 def _integer_row(row):
     """Nonzero entries of a dense or sparse row as ``{column: int}``: the row
     times the lcm of its denominators, divided by its content.  ``int``
-    entries are taken as they are."""
+    entries are taken as they are.  Returns ``(row, lcm, content)``."""
     items = row.items() if isinstance(row, Mapping) else enumerate(row)
     out, den = {}, 1
     for c, x in items:
@@ -49,7 +52,7 @@ def _integer_row(row):
     g = gcd(*out.values())
     if g > 1:
         out = {c: x // g for c, x in out.items()}
-    return out
+    return out, den, g
 
 
 def _as_mapping(row):
@@ -67,7 +70,7 @@ def rref(rows):
     ``{column: Fraction}`` without zeros when they are mappings.
     """
     rows = list(rows)
-    reduced, pivots = _eliminate([_integer_row(row) for row in rows])
+    reduced, pivots, *_ = _eliminate([_integer_row(row)[0] for row in rows])
     if rows and not isinstance(rows[0], Mapping):
         ncols = len(rows[0])
         return [[row.get(c, _ZERO) for c in range(ncols)] for row in reduced], pivots
@@ -83,17 +86,22 @@ def _eliminate(rows):
     row with entry ``f`` in the pivot column becomes ``(a/g) row - (f/g)
     pivot`` and is divided by its content.  Rows already reduced are updated
     the same way, so each keeps a multiple of its reduced form and is divided
-    by its own lead at the end.
+    by its own lead at the end.  For ``determinant`` it also returns the
+    final integer leads, the parity of the order in which the pivot rows
+    leave ``pending``, and the products of the multipliers ``a/g`` and of the
+    contents divided out.
     """
     pending = [row for row in rows if row]
     reduced, pivots = [], []
+    passed, scaled, divided = 0, 1, 1
     for c in sorted({c for row in pending for c in row}):
         if not pending:
             break
         candidates = [i for i, row in enumerate(pending) if c in row]
         if not candidates:
             continue
-        pivot = pending.pop(min(candidates, key=lambda i: len(pending[i])))
+        pivot = pending.pop(i := min(candidates, key=lambda j: len(pending[j])))
+        passed += i
         a = pivot[c]
         update = [(k, v) for k, v in pivot.items() if k != c]
         for group in (pending, reduced):
@@ -104,6 +112,7 @@ def _eliminate(rows):
                 g = gcd(a, f)
                 s, t = a // g, f // g
                 if s != 1:
+                    scaled *= s
                     for k in row:
                         row[k] *= s
                 for k, v in update:
@@ -118,13 +127,15 @@ def _eliminate(rows):
                             del row[k]
                 g = gcd(*row.values())
                 if g > 1:
+                    divided *= g
                     for k in row:
                         row[k] //= g
         pending = [row for row in pending if row]
         reduced.append(pivot)
         pivots.append(c)
+    leads = [row[p] for row, p in zip(reduced, pivots)]
     return [{k: Fraction(v, row[p]) for k, v in row.items()}
-            for row, p in zip(reduced, pivots)], pivots
+            for row, p in zip(reduced, pivots)], pivots, leads, passed % 2, scaled, divided
 
 
 def rank(rows):
@@ -176,34 +187,33 @@ def identity(n):
     return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
+def _square(rows):
+    """The size n of a square matrix; ``DimensionError`` for any other.  A
+    sparse row may leave columns out, but has none at n or beyond."""
+    n = len(rows)
+    if any(max(row, default=-1) >= n if isinstance(row, Mapping) else len(row) != n
+           for row in rows):
+        raise DimensionError(f"matrix must be square, got {n} rows and a row that "
+                             f"does not have {n} columns")
+    return n
+
+
 def determinant(rows):
-    """Determinant by Gaussian elimination over Fraction (exact)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    """Determinant of a square matrix, as a ``Fraction``.  Scaling a row by
+    ``s`` scales it by ``s`` and row subtractions keep it, so at full rank it
+    is the signed product of ``_eliminate``'s leads over all the scalings."""
+    n = _square(rows)
+    cleared = [_integer_row(row) for row in rows]
+    _, pivots, leads, odd, scaled, divided = _eliminate([out for out, _, _ in cleared])
+    if len(pivots) < n:
+        return _ZERO
+    value = (-1) ** odd * prod(leads) * divided * prod(g for _, _, g in cleared)
+    return Fraction(value, scaled * prod(den for _, den, _ in cleared))
 
 
 def inverse(rows):
-    """Inverse matrix, or None when singular."""
-    n = len(rows)
+    """Inverse of a square matrix, or None when singular."""
+    n = _square(rows)
     aug = [{**_as_mapping(row), n + i: 1} for i, row in enumerate(rows)]
     reduced, pivots = rref(aug)
     if pivots != list(range(n)):

@@ -152,6 +152,10 @@ def test_run_documented_examples():
     assert call(["dim-irrep", "3", "2", "2"])[:2] == (0, "10")
 
 
+def test_dim_irrep_of_dimension_zero_names_the_bound():
+    assert call(["dim-irrep", "0", "1", "0"]) == (2, "", "error: n must be >= 1, got n=0\n")
+
+
 def test_run_predicates_and_operations():
     code, text, _ = call(["check-poisson", "--dim", "3", "x*d2/\\d3 - y*d1/\\d3 + z*d1/\\d2"])
     assert (code, text) == (0, "true")

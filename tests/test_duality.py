@@ -180,6 +180,18 @@ def test_dim_irrep_domain_errors():
         dim_irrep(3, 2, -1)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 1, 0), "n must be >= 1, got n=0"),
+    ((-2, 1, 0), "n must be >= 1, got n=-2"),
+    ((3, -1, 1), "k and l must be >= 0, got k=-1, l=1"),
+    ((3, 2, -1), "k and l must be >= 0, got k=2, l=-1"),
+])
+def test_dim_irrep_names_the_failed_bound(args, message):
+    with pytest.raises(DomainError) as info:
+        dim_irrep(*args)
+    assert str(info.value) == message
+
+
 def _trace_matrix(n, k, ell):
     basis = [PolyVectorField.single(n, 1, e, i)
              for e in monomial_exponents(n, k)

@@ -140,6 +140,13 @@ def test_pushforward_singular_matrix():
         pushforward(singular, pv("d1", 3))
 
 
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 2)])
+def test_matmul_of_different_sizes_raises(a, b):
+    with pytest.raises(DimensionError) as info:
+        LinearMatrix.identity(a).matmul(LinearMatrix.identity(b))
+    assert str(info.value) == f"dimension mismatch: {a} vs {b}"
+
+
 def test_graded_identities_randomized():
     for fields in random_triples(random.Random(4), 80):
         assert triple_failures(*fields) == []

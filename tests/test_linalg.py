@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyvec import linalg
+from polyvec import DimensionError, linalg
 from util import random_rational_matrix, rref_dense
 
 # (rows, cols) shapes: tall, wide and square, up to 12 x 12.
@@ -144,6 +144,21 @@ def test_tuple_rows_and_integer_entries():
 @pytest.mark.parametrize("rows", [[[0]], [[1, 2], [2, 4]], [[1, 0, 0], [0, 0, 0], [0, 0, 1]]])
 def test_singular_inverse_is_none(rows):
     assert linalg.inverse(rows) is None
+
+
+@pytest.mark.parametrize("operation", [linalg.determinant, linalg.inverse])
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]],
+                                  [[1, 2], [3]], [[]], [{0: 1}, {2: 1}]])
+def test_non_square_matrices_raise(operation, rows):
+    with pytest.raises(DimensionError, match="matrix must be square"):
+        operation(rows)
+
+
+def test_square_sparse_rows_may_leave_columns_out():
+    rows = [{0: 2}, {1: Fraction(1, 4), 0: 3}]
+    assert linalg.inverse(rows) == [[Fraction(1, 2), 0], [-6, 4]]
+    assert linalg.determinant(rows) == Fraction(1, 2)
+    assert linalg.determinant([{1: 1}, {}]) == 0
 
 
 def test_input_is_not_modified():

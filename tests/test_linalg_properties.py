@@ -3,12 +3,14 @@
 Every property runs derandomized, so the examples are the same on each run.
 """
 
+import sys
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from polyvec import linalg
-from util import rref_by_fractions, rref_dense
+from polyvec import LinearMatrix, linalg
+from polyvec.cli import parse_matrix
+from util import determinant_by_fractions, rref_by_fractions, rref_dense
 
 # Mostly zeros, so sparse rows and rank drops are common.
 ENTRIES = st.one_of(
@@ -31,19 +33,19 @@ ROW_FACTORS = (1, -1, 6, -35, 3 * 2**70)
 
 
 @st.composite
-def matrices(draw, max_rows=6, max_cols=6, entries=ENTRIES):
+def matrices(draw, max_rows=6, max_cols=6, entries=ENTRIES, square=False):
     nrows = draw(st.integers(0, max_rows))
-    ncols = draw(st.integers(1, max_cols))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
     return [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
 
 
 @st.composite
-def mixed_matrices(draw, max_rows=7, max_cols=7):
+def mixed_matrices(draw, max_rows=7, max_cols=7, square=False):
     """Matrices of ``WIDE_ENTRIES``: each row is scaled by one of
     ``ROW_FACTORS`` or replaced by zeros, and each entry is spelled as a
     ``Fraction``, an ``int`` when it is integral, or a ``str``."""
     out = []
-    for row in draw(matrices(max_rows, max_cols, WIDE_ENTRIES)):
+    for row in draw(matrices(max_rows, max_cols, WIDE_ENTRIES, square)):
         if draw(st.integers(0, 5)) == 0:
             row = [Fraction(0)] * len(row)
         factor = draw(st.sampled_from(ROW_FACTORS))
@@ -118,3 +120,32 @@ def test_rref_of_mixed_sparse_rows_equals_both_oracles(rows, data):
     assert all(type(x) is Fraction and x for row in reduced for x in row.values())
     dense = [[row.get(c, 0) for c in range(ncols)] for row in reduced]
     assert (dense, pivots) == rref_dense(rows)
+
+
+@settings(derandomize=True, max_examples=60)
+@given(mixed_matrices(max_rows=8, square=True))
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 3], [0, "5/2", 1], [-7, 1, Fraction(1, 3)]])
+@example([[6, 0, 0, 4], [0, 0, 35, 0], [0, 10, 0, 0], [9, 0, 0, 15]])
+@example([[1, 2, 3], ["1/2", 5, 7], [1, 2, 3]])
+def test_determinant_equals_the_fraction_oracle(rows):
+    """Row swaps, zero rows, row contents, large denominators and every
+    spelling of an entry; the last example has two equal rows."""
+    det = linalg.determinant(rows)
+    assert det == determinant_by_fractions(rows)
+    assert type(det) is Fraction
+    if rows:
+        det = LinearMatrix(rows).det()
+        assert det == determinant_by_fractions(rows) and type(det) is Fraction
+
+
+def test_determinant_of_a_literal_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        matrix = parse_matrix("1e4301")
+        det = matrix.det()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert det == determinant_by_fractions(matrix.entries) == 10 ** 4301
+    assert type(det) is Fraction

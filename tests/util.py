@@ -594,6 +594,33 @@ def eliminate_fractions(rows):
     return reduced, pivots
 
 
+def determinant_by_fractions(rows):
+    """Reference determinant: dense Gaussian elimination over Fraction, first
+    nonzero entry as pivot.  Same contract as ``linalg.determinant`` on
+    square dense rows; kept only as an oracle."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for i in range(c + 1, n):
+            if m[i][c] != 0:
+                f = m[i][c] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
 def point_values_by_fractions(p):
     """Reference evaluation of ``generic_rank``: the upper entries
     ``{(i, j): Fraction}`` of the integer numerators of the bi-vector ``p``
