@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import add
 from typing import Optional
 
 from .errors import DimensionError, PreconditionError
@@ -31,6 +30,7 @@ from .fields import (
     LinearMatrix,
     PolyVectorField,
     _frac,
+    _pack,
     _sort_with_sign,
     euler,
     linear_vector_field,
@@ -94,9 +94,14 @@ def same_span(elements_a, elements_b):
 
 
 def _from_coordinates(cls, dim, keys, items):
-    """The element of ``cls`` whose coefficient at ``keys[c]`` is ``v`` for
-    each coordinate ``(c, v)`` in ``items``: the inverse of ``_coordinatize``."""
-    return cls(dim, {keys[c]: v for c, v in items if v})
+    """The element of ``cls`` whose coefficient at ``keys[c]`` is the
+    rational ``v`` for each coordinate ``(c, v)`` in ``items``: the inverse
+    of ``_coordinatize``.  The keys are stored keys, so the values only go
+    over the lcm of their denominators."""
+    values = [(keys[c], v) for c, v in items if v]
+    den = lcm(*(v.denominator for _, v in values))
+    return cls._reduced(dim, {key: v.numerator * (den // v.denominator)
+                              for key, v in values}, den)
 
 
 def _operator_kernel(cls, dim, keys, operator):
@@ -211,7 +216,8 @@ def centralizer_kernel(c_matrix, k):
         raise PreconditionError(f"polynomial degree must be >= 0, got {k}")
     n = c_matrix.dim
     c_field = matrix_action_field(c_matrix)
-    keys = [(exp, (j,)) for exp in monomial_exponents(n, k) for j in range(1, n + 1)]
+    keys = [(_pack(n, exp), (j,)) for exp in monomial_exponents(n, k)
+            for j in range(1, n + 1)]
     kernel = _operator_kernel(PolyVectorField, n, keys, lambda a: schouten(c_field, a))
     return SolutionSpace._independent(f"P^({k},1) in dimension {n}", kernel)
 
@@ -281,7 +287,7 @@ def compatible_cubic_oneforms(a_matrix):
     if a_matrix.trace() != 0:
         raise PreconditionError("stratum matrix must be trace-free")
     a_field = matrix_action_field(a_matrix)
-    keys = [(exp, (k,)) for k in range(1, 5) for exp in CUBIC4_DISPLAY_ORDER]
+    keys = [(_pack(4, exp), (k,)) for k in range(1, 5) for exp in CUBIC4_DISPLAY_ORDER]
     kernel = _operator_kernel(PolyDifferentialForm, 4, keys,
                               lambda th: schouten(a_field, from_form(th)))
     return SolutionSpace._independent(
@@ -315,14 +321,15 @@ def _quartic_pairing(dthetas):
     over the six ordered complementary index pairs (ab, cd) of
     (d theta_i)_{ab} (d theta_j)_{cd}.  The integer numerators of each
     d theta_i, over its denominator D_i, are bucketed by index pair; a pair
-    (i, j) accumulates in integers and each nonzero coefficient becomes one
+    (i, j) accumulates in integers, each product monomial the sum of two
+    packed keys, and each nonzero coefficient becomes one
     ``Fraction(factor * total, D_i * D_j)``.
     """
     buckets = []
     for dtheta in dthetas:
         by_pair = {}
-        for (exp, idx), c in dtheta.nums.items():
-            by_pair.setdefault(idx, []).append((exp, c))
+        for (packed, idx), c in dtheta.nums.items():
+            by_pair.setdefault(idx, []).append((packed, c))
         buckets.append((dtheta.den, by_pair))
     per_monomial = {}
     for i, (d_i, left) in enumerate(buckets):
@@ -336,15 +343,15 @@ def _quartic_pairing(dthetas):
                     if sign < 0:
                         ca = -ca
                     for eb, cb in right[cd]:
-                        exp = tuple(map(add, ea, eb))
-                        totals[exp] = totals.get(exp, 0) + ca * cb
+                        key = ea + eb
+                        totals[key] = totals.get(key, 0) + ca * cb
             factor = 1 if i == j else 2
-            for exp, total in totals.items():
+            for key, total in totals.items():
                 if total:
-                    per_monomial.setdefault(exp, {})[(i, j)] = Fraction(
+                    per_monomial.setdefault(key, {})[(i, j)] = Fraction(
                         factor * total, d_i * d_j)
     parameters = tuple(f"c{i + 1}" for i in range(len(buckets)))
-    constraints = tuple(per_monomial[exp] for exp in sorted(per_monomial))
+    constraints = tuple(per_monomial[key] for key in sorted(per_monomial))
     return QuadraticConstraintSet(parameters=parameters, constraints=constraints)
 
 

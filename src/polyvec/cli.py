@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import __version__, classifier, invariants
 from .errors import DimensionError, DomainError, ParseError, PolyvecError, PreconditionError
-from .fields import LinearMatrix, PolyVectorField, schouten, wedge
+from .fields import LinearMatrix, PolyVectorField, _unpack, schouten, wedge
 from .duality import dim_irrep, trace_d
 from .decomposition import decompose
 from .structures import (
@@ -215,9 +215,9 @@ def format_expr(obj, alias="numeric"):
     magnitude prints as ``str(num)`` when the reduced denominator is 1 and
     ``num/den`` otherwise, left out when it is 1 and the term has another
     factor.  Each monomial string
-    is built once per exponent tuple and each wedge of partials once per
-    index tuple.  A result with an integer past the interpreter's int/str
-    digit limit raises ``PolyvecError``.
+    is built once per packed key, which is unpacked there, and each wedge of
+    partials once per index tuple.  A result with an integer past the
+    interpreter's int/str digit limit raises ``PolyvecError``.
     """
     dim = obj.dim
     if alias == "numeric":
@@ -239,12 +239,13 @@ def format_expr(obj, alias="numeric"):
     monomials = {}
     last_idx = partial = None
     try:
-        for idx, exp, num in sorted([(idx, exp, c) for (exp, idx), c in obj.nums.items()]):
-            monomial = monomials.get(exp)
+        for idx, packed, num in sorted([(idx, packed, c)
+                                        for (packed, idx), c in obj.nums.items()]):
+            monomial = monomials.get(packed)
             if monomial is None:
-                monomial = monomials[exp] = "*".join([
+                monomial = monomials[packed] = "*".join([
                     var_names[m] if e == 1 else f"{var_names[m]}^{e}"
-                    for m, e in enumerate(exp) if e])
+                    for m, e in enumerate(_unpack(dim, packed)) if e])
             if idx != last_idx:
                 last_idx = idx
                 partial = "/\\".join([partial_names[j - 1] for j in idx])

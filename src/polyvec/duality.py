@@ -12,9 +12,13 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
 from .fields import (
+    _MASK,
     PolyVectorField,
+    _flattened,
+    _shift,
     _SparseTerms,
     _sort_with_sign,
+    _unpack,
     merge_indices,
 )
 
@@ -35,7 +39,7 @@ class VolumeConvention:
 
 class PolyDifferentialForm(_SparseTerms):
     """Differential form with polynomial coefficients, stored like a field:
-    (exponent tuple, strictly increasing covariant index tuple) -> integer
+    (packed exponents, strictly increasing covariant index tuple) -> integer
     numerator over one denominator.
     """
 
@@ -88,19 +92,19 @@ def from_form(omega):
 def exterior_derivative(omega):
     """Standard exterior derivative; raises the form degree by one and
     squares to zero."""
+    dim = omega.dim
     totals = {}
-    for (exp, idx), c in omega.nums.items():
-        for m in range(omega.dim):
-            e = exp[m]
+    for (packed, idx), c in omega.nums.items():
+        for m, e in enumerate(_unpack(dim, packed)):
             if not e:
                 continue
             merged = merge_indices((m + 1,), idx)
             if merged is None:
                 continue
             sign, new_idx = merged
-            key = (exp[:m] + (e - 1,) + exp[m + 1:], new_idx)
+            key = (packed - (1 << _shift(dim, m)) - 1, new_idx)
             totals[key] = totals.get(key, 0) + sign * e * c
-    return PolyDifferentialForm._reduced(omega.dim, totals, omega.den)
+    return PolyDifferentialForm._reduced(dim, totals, omega.den)
 
 
 def interior_product(x, omega):
@@ -108,23 +112,22 @@ def interior_product(x, omega):
     if x.dim != omega.dim:
         raise DimensionError(f"dimension mismatch: {x.dim} vs {omega.dim}")
     components = {}
-    for (exp, idx), c in x.nums.items():
+    for (packed, idx), c in x.nums.items():
         if len(idx) != 1:
             raise DimensionError("interior product needs a vector field")
-        components.setdefault(idx[0], {})[exp] = c
-    totals = {}
-    for (exp, idx), c in omega.nums.items():
+        components.setdefault(idx[0], {})[packed] = c
+    grouped = {}
+    for (packed, idx), c in omega.nums.items():
         for t, j in enumerate(idx):
             comp = components.get(j)
             if not comp:
                 continue
-            sign = -1 if t % 2 else 1
-            new_idx = idx[:t] + idx[t + 1:]
-            for xexp, xc in comp.items():
-                key = (tuple(a + b for a, b in zip(exp, xexp)), new_idx)
-                p = c * xc
-                totals[key] = totals.get(key, 0) + (p if sign > 0 else -p)
-    return PolyDifferentialForm._reduced(omega.dim, totals, x.den * omega.den)
+            signed = -c if t % 2 else c
+            sums = grouped.setdefault(idx[:t] + idx[t + 1:], {})
+            for xpacked, xc in comp.items():
+                key = packed + xpacked
+                sums[key] = sums.get(key, 0) + signed * xc
+    return PolyDifferentialForm._reduced(omega.dim, _flattened(grouped), x.den * omega.den)
 
 
 def lie_derivative_form(x, omega):
@@ -142,17 +145,19 @@ def trace_d(u):
     fields.  Squares to zero.  It accumulates the integer numerators over
     ``u``'s denominator.
     """
+    dim = u.dim
     totals = {}
-    for (exp, idx), c in u.nums.items():
+    for (packed, idx), c in u.nums.items():
         ell = len(idx)
         for t, j in enumerate(idx):
-            e = exp[j - 1]
+            shift = _shift(dim, j - 1)
+            e = packed >> shift & _MASK
             if not e:
                 continue
-            key = (exp[:j - 1] + (e - 1,) + exp[j:], idx[:t] + idx[t + 1:])
+            key = (packed - (1 << shift) - 1, idx[:t] + idx[t + 1:])
             value = e * c
             totals[key] = totals.get(key, 0) + (-value if (ell - 1 - t) % 2 else value)
-    return PolyVectorField._reduced(u.dim, totals, u.den)
+    return PolyVectorField._reduced(dim, totals, u.den)
 
 
 def dim_irrep(n, k, ell):

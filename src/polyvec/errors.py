@@ -37,6 +37,10 @@ class DomainError(PolyvecError):
     """Numeric arguments outside the domain of the requested formula."""
 
 
+class DegreeLimitError(PolyvecError):
+    """A term's total degree is past what a packed monomial key can hold."""
+
+
 class SingularMatrixError(PolyvecError):
     """A matrix that must be invertible has determinant zero."""
 

@@ -16,6 +16,19 @@ covariant indices is a differential form (``duality.PolyDifferentialForm``)
 and with no indices a polynomial, so all three share one sparse core,
 ``_SparseTerms``.
 
+A key of ``nums`` is ``(packed, indices)``: the exponent tuple is packed into
+one ``int`` of n + 1 fields of ``_W`` = 16 bits (the packed exponent vectors
+of Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  x_1 sits in the most significant
+field and x_n in the one above the least significant, which holds the total
+degree, so integer order is tuple order and the degree is ``packed & _MASK``.
+Every stored key has total degree below ``_DEGREE_TOP`` = 2^15: the sum of
+two keys is the key of the product of their monomials with no carry between
+fields, and d/dx_m subtracts the key of x_m.  A degree past the bound raises
+``DegreeLimitError``: the constructor checks each key, and each kernel that
+adds keys checks the degree field of each result key.  ``_pack`` and
+``_unpack`` are the only conversions between tuples and packed keys.
+
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
 radial fields and the action of linear diffeomorphisms.  The constructor
@@ -26,15 +39,64 @@ factor of the result once, through ``_normalised``.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, index
+from operator import index
+from struct import error as StructError, pack, unpack
 
 from .errors import (
     DegenerateNormalizerError,
+    DegreeLimitError,
     DimensionError,
     HomogeneityError,
     SingularMatrixError,
 )
 from . import linalg
+
+
+# Bits per field of a packed key.  ``_pack`` and ``_unpack`` write the
+# fields with the struct codes of this width: ``H`` for an exponent and ``h``
+# for the degree, whose range [0, 2^15) is the degree bound.
+_W = 16
+_MASK = (1 << _W) - 1
+_DEGREE_TOP = 1 << (_W - 1)
+
+
+def _pack(dim, exponents):
+    """The packed key of an exponent tuple of length ``dim``.
+
+    A non-integer exponent raises ``TypeError``, a wrong length or a
+    negative exponent ``DimensionError``, and a total degree of
+    ``_DEGREE_TOP`` or more ``DegreeLimitError``.  struct checks all of it
+    on the way in, and only a tuple it refuses is looked at again."""
+    try:
+        return int.from_bytes(pack(f">{dim}Hh", *exponents, sum(exponents)), "big")
+    except (StructError, TypeError):
+        pass
+    exponents = tuple(map(index, exponents))
+    if len(exponents) != dim or any(e < 0 for e in exponents):
+        raise DimensionError(f"bad exponent tuple {exponents} for dimension {dim}")
+    if sum(exponents) < _DEGREE_TOP:
+        # integers that only their own type kept from summing or packing
+        return _pack(dim, exponents)
+    raise DegreeLimitError(f"term degree exceeds the limit of {_DEGREE_TOP - 1}")
+
+
+def _unpack(dim, packed):
+    """The exponent tuple of a packed key in ``dim`` variables."""
+    return unpack(f">{dim}H2x", packed.to_bytes(2 * dim + 2, "big"))
+
+
+def _shift(dim, m):
+    """Bit offset of the field of x_(m+1) in a packed key in ``dim``
+    variables: ``key >> s & _MASK`` is its exponent, and ``(1 << s) + 1``
+    the key of x_(m+1) itself."""
+    return _W * (dim - m)
+
+
+def _lowest_field(fields):
+    """Bit offset of the lowest nonzero field of ``fields`` > 0.  For a key
+    shifted right by ``_W``, past its degree, that is the field of the last
+    variable present, at offset ``_W`` less than in the key."""
+    return ((fields & -fields).bit_length() - 1) // _W * _W
 
 
 def _frac(x):
@@ -96,6 +158,31 @@ def _unit(n, m):
     return tuple(1 if t == m else 0 for t in range(n))
 
 
+def _by_indices(nums):
+    """The terms ``(packed, numerator)`` of ``nums`` grouped by index tuple."""
+    groups = {}
+    for (packed, idx), c in nums.items():
+        group = groups.get(idx)
+        if group is None:
+            group = groups[idx] = []
+        group.append((packed, c))
+    return groups
+
+
+def _flattened(grouped):
+    """The nonzero kernel totals ``{indices: {packed: total}}`` keyed
+    ``(packed, indices)``.  Each packed key is the sum of two stored keys,
+    whose degrees are below ``_DEGREE_TOP``, so no field carried; a term
+    whose degree field reached ``_DEGREE_TOP`` raises ``DegreeLimitError``."""
+    totals = {(p, idx): t for idx, sums in grouped.items() for p, t in sums.items() if t}
+    for p, _ in totals:
+        if p & _DEGREE_TOP:
+            raise DegreeLimitError(
+                f"a result has a term of degree {p & _MASK}, past the limit of "
+                f"{_DEGREE_TOP - 1}")
+    return totals
+
+
 def _normalised(totals, den):
     """``(nums, den)`` for integer ``totals`` over ``den`` > 0: zero totals
     drop out and the factor common to the denominator and all numerators is
@@ -111,8 +198,9 @@ def _normalised(totals, den):
 
 class _SparseTerms:
     """A finitely supported map (exponents, strictly increasing indices) ->
-    nonzero rational on R^dim, stored as integer numerators ``nums`` over one
-    positive denominator ``den`` that shares no factor with all of them.
+    nonzero rational on R^dim, stored as integer numerators ``nums``, keyed
+    by ``(packed exponents, indices)``, over one positive denominator ``den``
+    that shares no factor with all of them.
 
     This is the one place where the representation is decided: validation
     and canonicalisation, normalisation, arithmetic, equality and the wedge
@@ -142,9 +230,7 @@ class _SparseTerms:
         signed = []
         for (exp, idx), coeff in (terms or {}).items():
             # the key is checked even when the coefficient is zero
-            exp = tuple(map(index, exp))
-            if len(exp) != dim or any(e < 0 for e in exp):
-                raise DimensionError(f"bad exponent tuple {exp} for dimension {dim}")
+            packed = _pack(dim, exp)
             idx = tuple(map(index, idx))
             if (any(j < 1 or j > dim for j in idx)
                     or (self._overlong_raises and len(idx) > dim)):
@@ -154,7 +240,7 @@ class _SparseTerms:
                 continue
             sign, idx = _sort_with_sign(idx)
             if sign:
-                signed.append(((exp, idx), sign, coeff))
+                signed.append(((packed, idx), sign, coeff))
         den = math.lcm(*(c.denominator for _, _, c in signed))
         totals = {}
         for key, sign, c in signed:
@@ -178,8 +264,9 @@ class _SparseTerms:
     def terms(self):
         """The canonical ``(exponents, indices) -> Fraction`` mapping, built
         afresh on each read: changing it changes no value."""
-        den = self.den
-        return {key: Fraction(c, den) for key, c in self.nums.items()}
+        dim, den = self.dim, self.den
+        return {(_unpack(dim, packed), idx): Fraction(c, den)
+                for (packed, idx), c in self.nums.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -237,29 +324,31 @@ class _SparseTerms:
         alike: exponents add, index tuples shuffle-merge with their sign and
         a shared index kills the pair.  The result has the type of ``self``.
 
-        It works on the integer numerators: ``merge_indices`` runs once per
-        pair of index tuples (memoised for the call), exponents add with
-        ``map(add, ...)``, and the totals over the product of the two
-        denominators are normalised once at the end.
+        It works on the integer numerators of both operands grouped by index
+        tuple: ``merge_indices`` runs once per pair of index tuples, the
+        packed keys of each pair of terms add with one ``+``, and the totals
+        over the product of the two denominators are normalised once at the
+        end.
         """
         self._check_dim(other)
-        totals, merges = {}, {}
-        vs = other.nums.items()
-        for (ea, ia), ca in self.nums.items():
-            row = merges.get(ia)
-            if row is None:
-                row = merges[ia] = {}
-            for (eb, ib), cb in vs:
-                merged = row.get(ib, False)
-                if merged is False:
-                    merged = row[ib] = merge_indices(ia, ib)
+        grouped = {}
+        right = _by_indices(other.nums)
+        for ia, left in _by_indices(self.nums).items():
+            for ib, terms in right.items():
+                merged = merge_indices(ia, ib)
                 if merged is None:
                     continue
                 sign, idx = merged
-                key = (tuple(map(add, ea, eb)), idx)
-                value = ca * cb
-                totals[key] = totals.get(key, 0) + (value if sign > 0 else -value)
-        return self._reduced(self.dim, totals, self.den * other.den)
+                sums = grouped.get(idx)
+                if sums is None:
+                    sums = grouped[idx] = {}
+                for ea, ca in left:
+                    if sign < 0:
+                        ca = -ca
+                    for eb, cb in terms:
+                        key = ea + eb
+                        sums[key] = sums.get(key, 0) + ca * cb
+        return self._reduced(self.dim, _flattened(grouped), self.den * other.den)
 
     def __repr__(self):
         name = type(self).__name__
@@ -299,7 +388,7 @@ class PolyVectorField(_SparseTerms):
 
     def bidegrees(self):
         return {BiDegree(k, ell)
-                for k, ell in {(sum(exp), len(idx)) for exp, idx in self.nums}}
+                for k, ell in {(packed & _MASK, len(idx)) for packed, idx in self.nums}}
 
     def is_homogeneous(self):
         return len(self.bidegrees()) <= 1
@@ -315,7 +404,7 @@ class PolyVectorField(_SparseTerms):
         return {len(idx) for exp, idx in self.nums}
 
     def max_poly_degree(self):
-        return max((sum(exp) for exp, idx in self.nums), default=0)
+        return max((packed & _MASK for packed, _ in self.nums), default=0)
 
     def wedge(self, other):
         return wedge(self, other)
@@ -348,56 +437,72 @@ def wedge(u, v):
     return u._wedge(v)
 
 
-def _derivative_buckets(dim, terms):
-    """Bucket integer terms ``((exponents, indices), numerator)`` by the
-    variables their monomials contain.
+def _derivative_buckets(dim, nums):
+    """Bucket integer terms by the variables their monomials contain.
 
-    ``buckets[m]`` lists d/dx_(m+1) of every term whose exponent of x_(m+1)
-    is positive, as ``(exponent with e_m - 1, indices, e_m * numerator)``;
-    a partial slot d_j of the other operand reaches exactly ``buckets[j - 1]``.
+    ``buckets[j]`` maps each index tuple to d/dx_j of the terms with those
+    indices whose exponent e of x_j is positive, as ``(packed key minus
+    that of x_j, e * numerator)``; a partial slot d_j of the other operand
+    reaches exactly ``buckets[j]``.  Only the nonzero fields of a key are
+    visited, lowest first.
     """
-    buckets = [[] for _ in range(dim)]
-    for (exp, idx), c in terms:
-        for m, e in enumerate(exp):
-            if e:
-                buckets[m].append((exp[:m] + (e - 1,) + exp[m + 1:], idx, e * c))
+    buckets = {}
+    for (packed, idx), c in nums.items():
+        fields = packed >> _W
+        while fields:
+            shift = _lowest_field(fields)
+            e = fields >> shift & _MASK
+            fields ^= e << shift
+            j = dim - shift // _W
+            bucket = buckets.get(j)
+            if bucket is None:
+                bucket = buckets[j] = {}
+            group = bucket.get(idx)
+            if group is None:
+                group = bucket[idx] = []
+            group.append((packed - (1 << shift + _W) - 1, e * c))
     return buckets
 
 
-def _slot_derivatives(totals, merges, terms, buckets, twist):
-    """Accumulate into ``totals`` the half of the Schouten bracket in which
-    the partial slots of ``terms`` differentiate the coefficients bucketed in
-    ``buckets``: each slot d_j at position t of an index tuple of length p
-    contributes (-1)^(p-1-t) * (slot-free indices) /\\ (the other indices).
+def _slot_derivatives(grouped, groups, buckets, twist):
+    """Accumulate into ``grouped`` (totals ``{indices: {packed: total}}``)
+    the half of the Schouten bracket in which the partial slots of the terms
+    ``groups`` (grouped by index tuple) differentiate the coefficients
+    bucketed in ``buckets``: each slot d_j at position t of an index tuple
+    of length p contributes (-1)^(p-1-t) * (slot-free indices) /\\ (the
+    other indices).
 
     With ``twist`` each contribution is multiplied by -(-1)^((p-1)(q-1)),
     p and q the two vector degrees: the sign that turns the half with the
-    roles swapped into the second half of ``[u, v]``.  ``merges`` memoises
-    ``merge_indices`` by its two arguments for the whole bracket.
+    roles swapped into the second half of ``[u, v]``.  The sign and the
+    merged indices are resolved once per slot and index tuple of the other
+    operand, not once per pair of terms.
     """
-    for (ea, ia), ca in terms:
+    for ia, terms in groups.items():
         p = len(ia)
         for t, j in enumerate(ia):
-            bucket = buckets[j - 1]
-            if not bucket:
+            bucket = buckets.get(j)
+            if bucket is None:
                 continue
             rest = ia[:t] + ia[t + 1:]
-            row = merges.get(rest)
-            if row is None:
-                row = merges[rest] = {}
-            c = ca if (p - 1 - t) % 2 == 0 else -ca
-            # the coefficient for an other-operand index tuple of even / odd length
-            by_parity = ((c, -c) if p % 2 == 0 else (-c, -c)) if twist else (c, c)
-            for eb, ib, cb in bucket:
-                merged = row.get(ib, False)
-                if merged is False:
-                    merged = row[ib] = merge_indices(rest, ib)
+            for ib, derivatives in bucket.items():
+                merged = merge_indices(rest, ib)
                 if merged is None:
                     continue
                 sign, idx = merged
-                key = (tuple(map(add, ea, eb)), idx)
-                value = by_parity[len(ib) % 2] * cb
-                totals[key] = totals.get(key, 0) + (value if sign > 0 else -value)
+                if (p - 1 - t) % 2:
+                    sign = -sign
+                if twist and (p - 1) * (len(ib) - 1) % 2 == 0:
+                    sign = -sign
+                sums = grouped.get(idx)
+                if sums is None:
+                    sums = grouped[idx] = {}
+                for ea, ca in terms:
+                    if sign < 0:
+                        ca = -ca
+                    for eb, cb in derivatives:
+                        key = ea + eb
+                        sums[key] = sums.get(key, 0) + ca * cb
 
 
 def schouten(u, v):
@@ -409,21 +514,21 @@ def schouten(u, v):
     ``(k, l) x (k', l') -> (k + k' - 1, l + l' - 1)``.
 
     The kernel works on the integer numerators: only the term pairs where a
-    partial slot meets a variable of the other coefficient are visited, and
-    the totals over the product of the two denominators are normalised once
-    at the end.
+    partial slot meets a variable of the other coefficient are visited, the
+    packed keys of each pair add with one ``+``, and the totals over the
+    product of the two denominators are normalised once at the end.
     """
     u._check_dim(v)
-    us, vs = u.nums.items(), v.nums.items()
-    totals, merges = {}, {}
-    _slot_derivatives(totals, merges, us, _derivative_buckets(u.dim, vs), False)
-    _slot_derivatives(totals, merges, vs, _derivative_buckets(u.dim, us), True)
-    return PolyVectorField._reduced(u.dim, totals, u.den * v.den)
+    grouped = {}
+    _slot_derivatives(grouped, _by_indices(u.nums), _derivative_buckets(u.dim, v.nums), False)
+    _slot_derivatives(grouped, _by_indices(v.nums), _derivative_buckets(u.dim, u.nums), True)
+    return PolyVectorField._reduced(u.dim, _flattened(grouped), u.den * v.den)
 
 
 def radial_field(n):
     """The radial vector field e0 = x^m d_m."""
-    return PolyVectorField._wrap(n, {(_unit(n, m), (m + 1,)): 1 for m in range(n)}, 1)
+    return PolyVectorField._wrap(
+        n, {((1 << _shift(n, m)) + 1, (m + 1,)): 1 for m in range(n)}, 1)
 
 
 def euler(n, k, ell):
@@ -442,8 +547,8 @@ def homogeneous_components(u):
     zero field yields the empty mapping.
     """
     buckets = {}
-    for (exp, idx), c in u.nums.items():
-        buckets.setdefault((sum(exp), len(idx)), {})[(exp, idx)] = c
+    for (packed, idx), c in u.nums.items():
+        buckets.setdefault((packed & _MASK, len(idx)), {})[(packed, idx)] = c
     return {BiDegree(*deg): PolyVectorField._reduced(u.dim, nums, u.den)
             for deg, nums in buckets.items()}
 
@@ -556,9 +661,11 @@ def pushforward(l_matrix, u):
     preserved verbatim.
 
     L and L^-1 go over their common denominators once.  Each distinct
-    exponent tuple's product of coordinate images and each distinct partial
+    monomial's product of coordinate images and each distinct partial
     tuple's wedge of partial images expands once in integers, memoised for
-    the call, and each term adds the integer outer product of the two.
+    the call, and each term adds the integer outer product of the two.  The
+    monomials are packed keys throughout: multiplying by x_t adds the key of
+    x_t.
     """
     if l_matrix.dim != u.dim:
         raise DimensionError(f"dimension mismatch: {l_matrix.dim} vs {u.dim}")
@@ -568,19 +675,21 @@ def pushforward(l_matrix, u):
         raise SingularMatrixError("pushforward along a singular matrix")
     rows, d_rows = _integer_rows(l_matrix.entries)
     inv, d_inv = _integer_rows(l_matrix.inverse().entries)
-    # d_rows * x_m and d_inv * d_j as sparse integer linear combinations
-    coordinates = [[(t, v) for t, v in enumerate(row) if v] for row in rows]
+    # the key of each x_t, and d_rows * x_m and d_inv * d_j as sparse
+    # integer linear combinations
+    units = [(1 << _shift(n, t)) + 1 for t in range(n)]
+    coordinates = [[(units[t], v) for t, v in enumerate(row) if v] for row in rows]
     partials = [[(i + 1, inv[i][j]) for i in range(n) if inv[i][j]] for j in range(n)]
 
-    def last_coordinate(exp):
-        m = max(m for m, e in enumerate(exp) if e)
-        return exp[:m] + (exp[m] - 1,) + exp[m + 1:], coordinates[m]
+    def last_coordinate(key):
+        m = n - 1 - _lowest_field(key >> _W) // _W
+        return key - units[m], coordinates[m]
 
     def times_coordinate(poly, factor):
         out = {}
         for mono, c in poly.items():
-            for t, v in factor:
-                key = mono[:t] + (mono[t] + 1,) + mono[t + 1:]
+            for unit, v in factor:
+                key = mono + unit
                 out[key] = out.get(key, 0) + c * v
         return {key: c for key, c in out.items() if c}
 
@@ -597,19 +706,18 @@ def pushforward(l_matrix, u):
                     out[key] = out.get(key, 0) + (c * v if merged[0] > 0 else -c * v)
         return {key: c for key, c in out.items() if c}
 
-    origin = (0,) * n
-    monomials, wedges = {origin: {origin: 1}}, {(): {(): 1}}
+    monomials, wedges = {0: {0: 1}}, {(): {(): 1}}
     # each (k, l) component carries det^(l-1) / (d_rows^k d_inv^l), put
     # over the common denominator ``common`` of all components present
     weights = {deg: det ** (deg[1] - 1) / (d_rows ** deg[0] * d_inv ** deg[1])
-               for deg in {(sum(exp), len(idx)) for exp, idx in u.nums}}
+               for deg in {(packed & _MASK, len(idx)) for packed, idx in u.nums}}
     common = math.lcm(*(w.denominator for w in weights.values()))
     weights = {deg: w.numerator * (common // w.denominator) for deg, w in weights.items()}
     totals = {}
-    for (exp, idx), c in u.nums.items():
-        poly = _memoised_product(exp, monomials, last_coordinate, times_coordinate)
+    for (packed, idx), c in u.nums.items():
+        poly = _memoised_product(packed, monomials, last_coordinate, times_coordinate)
         vector = _memoised_product(idx, wedges, last_partial, times_partial)
-        c *= weights[sum(exp), len(idx)]
+        c *= weights[packed & _MASK, len(idx)]
         for mono, pc in poly.items():
             pc *= c
             for ind, vc in vector.items():
@@ -651,8 +759,8 @@ def skew_component(u, lower, upper):
     slot = _skew_slot(u.dim, lower, upper)
     if slot is None:
         return Fraction(0)
-    sign, key, fact = slot
-    coeff = u.nums.get(key)
+    sign, (exp, idx), fact = slot
+    coeff = u.nums.get((_pack(u.dim, exp), idx))
     return Fraction(0) if coeff is None else Fraction(sign * fact * coeff, u.den)
 
 

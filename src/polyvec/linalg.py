@@ -175,8 +175,15 @@ def span_equal(rows_a, rows_b, ncols):
 
 
 def mat_mul(a, b):
+    """The product of dense matrices ``a`` (n x k) and ``b`` (k x m).  A row
+    of ``a`` without k columns, or a row of ``b`` of another length than the
+    first, raises ``DimensionError``."""
     n, k = len(a), len(b)
-    cols = len(b[0])
+    cols = len(b[0]) if b else 0
+    for rows, size in ((a, k), (b, cols)):
+        for row in rows:
+            if len(row) != size:
+                raise DimensionError(f"dimension mismatch: {len(row)} vs {size}")
     return [
         [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
         for i in range(n)

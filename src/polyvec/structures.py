@@ -18,7 +18,7 @@ from .errors import (
     ParityError,
     PreconditionError,
 )
-from .fields import PolyVectorField, _frac, euler, schouten, wedge
+from .fields import PolyVectorField, _frac, _unpack, euler, schouten, wedge
 from . import linalg
 from .duality import trace_d
 from .decomposition import decompose
@@ -177,8 +177,8 @@ def generic_rank(p):
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
     n = p.dim
     entries = {}
-    for (exp, ij), c in p.nums.items():
-        entries.setdefault(ij, {})[(exp, ())] = c
+    for (packed, ij), c in p.nums.items():
+        entries.setdefault(ij, {})[(packed, ())] = c
     upper = {ij: PolyVectorField._wrap(n, nums, 1) for ij, nums in entries.items()}
     values = _scaled_point_values(p)
     support = sorted({i for ij in entries for i in ij})
@@ -186,7 +186,7 @@ def generic_rank(p):
                  for j in support] for i in support]
     _, pivots = linalg.rref(at_point)
     chosen = [support[c] for c in pivots]
-    memo = {(): PolyVectorField._wrap(n, {((0,) * n, ()): 1}, 1)}
+    memo = {(): PolyVectorField._wrap(n, {(0, ()): 1}, 1)}
     while True:
         rest = [i for i in support if i not in chosen]
         for i, j in combinations(rest, 2):
@@ -202,19 +202,28 @@ def _scaled_point_values(p):
     bi-vector ``p`` at x_m = a_m / b_m, a_m = m(m + 1) + 1 and b_m = m + 1,
     times prod_m b_m^top_m, where top_m is the largest exponent of x_m in
     ``p``.  A term c x^e then contributes the integer
-    c prod_m a_m^e_m b_m^(top_m - e_m), read from one table per variable."""
-    nums = p.nums
-    top = [max(column) for column in zip(*(exp for exp, _ in nums))]
+    c prod_m a_m^e_m b_m^(top_m - e_m), read from one table per variable.
+
+    Each distinct monomial is unpacked and evaluated once.  Reading each
+    e_m off the packed key with a shift instead costs O(n) per variable and
+    term, quadratic in n: a 99-term bi-vector at n = 10,000 took 4 s that
+    way."""
+    n = p.dim
+    monomials = {packed: _unpack(n, packed) for packed, _ in p.nums}
+    top = [max(column) for column in zip(*monomials.values())]
     tables = []
     for m, t in enumerate(top):
         if t:
             a, b = (m + 1) * (m + 2) + 1, m + 2
             tables.append((m, [a ** e * b ** (t - e) for e in range(t + 1)]))
-    values = {}
-    for (exp, ij), c in nums.items():
+    for packed, exp in monomials.items():
+        value = 1
         for m, table in tables:
-            c *= table[exp[m]]
-        values[ij] = values.get(ij, 0) + c
+            value *= table[exp[m]]
+        monomials[packed] = value
+    values = {}
+    for (packed, ij), c in p.nums.items():
+        values[ij] = values.get(ij, 0) + c * monomials[packed]
     return values
 
 

@@ -40,6 +40,7 @@ from util import (
     pushforward_by_wedges,
     schouten_pairwise,
     trace_d_fraction,
+    tuple_nums,
     wedge_pairwise,
 )
 
@@ -203,7 +204,7 @@ def test_constructor_equals_fraction_canonicaliser(case):
         return
     canonical, den, nums = expected
     assert is_normalised(value)
-    assert (value.dim, value.den, value.nums) == (n, den, nums)
+    assert (value.dim, value.den, tuple_nums(value)) == (n, den, nums)
     assert value.terms == canonical
 
 

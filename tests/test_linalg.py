@@ -115,6 +115,16 @@ def test_inverse_agrees_with_oracle():
     assert checked > 20
 
 
+@pytest.mark.parametrize("a, b, message", [
+    ([[1, 2, 3]], [[1], [1]], "3 vs 2"),
+    ([[1]], [[1], [1]], "1 vs 2"),
+    ([[1, 2]], [[1, 2], [3]], "1 vs 2"),
+])
+def test_mat_mul_rejects_sizes_that_do_not_agree(a, b, message):
+    with pytest.raises(DimensionError, match=f"^dimension mismatch: {message}$"):
+        linalg.mat_mul(a, b)
+
+
 def test_empty_and_zero_matrices():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0

@@ -188,7 +188,7 @@ def test_integer_point_is_a_positive_multiple_of_the_fraction_point():
     two have the same pivot columns."""
     varied = 0
     for p in scale_cases():
-        exps = [exp for exp, _ in p.nums]
+        exps = [exp for exp, _ in p.terms]
         top = [max(column) for column in zip(*exps)]
         varied += any(len({exp[m] for exp in exps}) > 1 for m in range(len(top)))
         scale = 1

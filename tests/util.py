@@ -8,7 +8,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import index
+from operator import add, index
 
 from polyvec import (
     LinearMatrix,
@@ -25,7 +25,7 @@ from polyvec.classifier import (
     QuadraticConstraintSet,
     monomial_exponents,
 )
-from polyvec.cli import _VAR_ALIASES, MAX_DEGREE, ExpressionAST
+from polyvec.cli import _VAR_ALIASES, MAX_DEGREE, ExpressionAST, _digit_limit_error
 from polyvec.duality import exterior_derivative
 from polyvec.errors import DimensionError, ParseError, PolyvecError
 from polyvec.fields import _sort_with_sign, merge_indices
@@ -81,6 +81,14 @@ def canonical_by_fractions(cls, dim, terms):
     den = math.lcm(*(c.denominator for c in canonical.values()))
     nums = {key: c.numerator * (den // c.denominator) for key, c in canonical.items()}
     return canonical, den, nums
+
+
+def tuple_nums(value):
+    """The integer numerators of ``value`` over ``value.den``, keyed like
+    ``terms`` by ``(exponent tuple, indices)`` instead of the stored packed
+    keys."""
+    den = value.den
+    return {key: c.numerator * (den // c.denominator) for key, c in value.terms.items()}
 
 
 def pv(text, n):
@@ -287,6 +295,174 @@ def format_expr_fraction(obj, alias="numeric"):
     for negative, body in rendered[1:]:
         out += (" - " if negative else " + ") + body
     return out
+
+
+# -- tuple-key kernels ---------------------------------------------------------
+# The sparse kernels as they were when a stored key held its exponent tuple,
+# kept verbatim as the oracles of the packed-key kernels.  Each reads the
+# integer numerators of ``tuple_nums`` (over the operand's ``den``) where the
+# library reads ``nums``, and builds its result through the public
+# constructor where the library normalises the totals.
+
+
+def _from_tuple_totals(cls, dim, totals, den):
+    """The value of integer ``totals`` keyed by exponent tuples over
+    ``den``, through the constructor."""
+    return cls(dim, {key: Fraction(t, den) for key, t in totals.items() if t})
+
+
+def wedge_by_tuples(u, v):
+    """``_SparseTerms._wedge`` on exponent tuples."""
+    u._check_dim(v)
+    totals, merges = {}, {}
+    vs = tuple_nums(v).items()
+    for (ea, ia), ca in tuple_nums(u).items():
+        row = merges.get(ia)
+        if row is None:
+            row = merges[ia] = {}
+        for (eb, ib), cb in vs:
+            merged = row.get(ib, False)
+            if merged is False:
+                merged = row[ib] = merge_indices(ia, ib)
+            if merged is None:
+                continue
+            sign, idx = merged
+            key = (tuple(map(add, ea, eb)), idx)
+            value = ca * cb
+            totals[key] = totals.get(key, 0) + (value if sign > 0 else -value)
+    return _from_tuple_totals(type(u), u.dim, totals, u.den * v.den)
+
+
+def _derivative_buckets_by_tuples(dim, terms):
+    buckets = [[] for _ in range(dim)]
+    for (exp, idx), c in terms:
+        for m, e in enumerate(exp):
+            if e:
+                buckets[m].append((exp[:m] + (e - 1,) + exp[m + 1:], idx, e * c))
+    return buckets
+
+
+def _slot_derivatives_by_tuples(totals, merges, terms, buckets, twist):
+    for (ea, ia), ca in terms:
+        p = len(ia)
+        for t, j in enumerate(ia):
+            bucket = buckets[j - 1]
+            if not bucket:
+                continue
+            rest = ia[:t] + ia[t + 1:]
+            row = merges.get(rest)
+            if row is None:
+                row = merges[rest] = {}
+            c = ca if (p - 1 - t) % 2 == 0 else -ca
+            # the coefficient for an other-operand index tuple of even / odd length
+            by_parity = ((c, -c) if p % 2 == 0 else (-c, -c)) if twist else (c, c)
+            for eb, ib, cb in bucket:
+                merged = row.get(ib, False)
+                if merged is False:
+                    merged = row[ib] = merge_indices(rest, ib)
+                if merged is None:
+                    continue
+                sign, idx = merged
+                key = (tuple(map(add, ea, eb)), idx)
+                value = by_parity[len(ib) % 2] * cb
+                totals[key] = totals.get(key, 0) + (value if sign > 0 else -value)
+
+
+def schouten_by_tuples(u, v):
+    """``fields.schouten`` on exponent tuples."""
+    u._check_dim(v)
+    us, vs = tuple_nums(u).items(), tuple_nums(v).items()
+    totals, merges = {}, {}
+    _slot_derivatives_by_tuples(totals, merges, us, _derivative_buckets_by_tuples(u.dim, vs),
+                                False)
+    _slot_derivatives_by_tuples(totals, merges, vs, _derivative_buckets_by_tuples(u.dim, us),
+                                True)
+    return _from_tuple_totals(PolyVectorField, u.dim, totals, u.den * v.den)
+
+
+def trace_d_by_tuples(u):
+    """``duality.trace_d`` on exponent tuples."""
+    totals = {}
+    for (exp, idx), c in tuple_nums(u).items():
+        ell = len(idx)
+        for t, j in enumerate(idx):
+            e = exp[j - 1]
+            if not e:
+                continue
+            key = (exp[:j - 1] + (e - 1,) + exp[j:], idx[:t] + idx[t + 1:])
+            value = e * c
+            totals[key] = totals.get(key, 0) + (-value if (ell - 1 - t) % 2 else value)
+    return _from_tuple_totals(PolyVectorField, u.dim, totals, u.den)
+
+
+def exterior_derivative_by_tuples(omega):
+    """``duality.exterior_derivative`` on exponent tuples."""
+    totals = {}
+    for (exp, idx), c in tuple_nums(omega).items():
+        for m in range(omega.dim):
+            e = exp[m]
+            if not e:
+                continue
+            merged = merge_indices((m + 1,), idx)
+            if merged is None:
+                continue
+            sign, new_idx = merged
+            key = (exp[:m] + (e - 1,) + exp[m + 1:], new_idx)
+            totals[key] = totals.get(key, 0) + sign * e * c
+    return _from_tuple_totals(PolyDifferentialForm, omega.dim, totals, omega.den)
+
+
+def format_expr_by_tuples(obj, alias="numeric"):
+    """``cli.format_expr`` on exponent tuples."""
+    dim = obj.dim
+    if alias == "numeric":
+        var_names = [f"x{i}" for i in range(1, dim + 1)]
+        partial_names = [f"d{i}" for i in range(1, dim + 1)]
+    elif alias in ("xyz", "txyz"):
+        letters = _VAR_ALIASES.get(dim)
+        if letters is None or len(letters) != (3 if alias == "xyz" else 4):
+            raise PolyvecError(f"alias {alias!r} does not fit dimension {dim}")
+        var_names = list(letters)
+        partial_names = ["d" + name for name in letters]
+    else:
+        raise PolyvecError(f"unknown alias mode {alias!r}")
+
+    if not obj.nums:
+        return "0"
+    denominator = obj.den
+    pieces = []
+    monomials = {}
+    last_idx = partial = None
+    try:
+        for idx, exp, num in sorted([(idx, exp, c)
+                                     for (exp, idx), c in tuple_nums(obj).items()]):
+            monomial = monomials.get(exp)
+            if monomial is None:
+                monomial = monomials[exp] = "*".join([
+                    var_names[m] if e == 1 else f"{var_names[m]}^{e}"
+                    for m, e in enumerate(exp) if e])
+            if idx != last_idx:
+                last_idx = idx
+                partial = "/\\".join([partial_names[j - 1] for j in idx])
+            body = (f"{monomial}*{partial}" if monomial else partial) if partial else monomial
+            if num < 0:
+                pieces.append(" - ")
+                num = -num
+            else:
+                pieces.append(" + ")
+            den = denominator
+            if den != 1:
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+            if den != 1:
+                body = f"{num}/{den}*{body}" if body else f"{num}/{den}"
+            elif num != 1 or not body:
+                body = f"{num}*{body}" if body else str(num)
+            pieces.append(body)
+    except ValueError:
+        raise _digit_limit_error() from None
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 # -- reference parser ----------------------------------------------------------
@@ -627,7 +803,7 @@ def point_values_by_fractions(p):
     at x_m = m + 1/(m + 1), in Fraction arithmetic.  Kept only as an
     oracle of ``structures._scaled_point_values``."""
     values = {}
-    for (exp, ij), c in p.nums.items():
+    for (exp, ij), c in tuple_nums(p).items():
         for m, e in enumerate(exp, 1):
             if e:
                 c *= (m + Fraction(1, m + 1)) ** e
