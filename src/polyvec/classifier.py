@@ -29,8 +29,10 @@ from . import linalg
 from .fields import (
     LinearMatrix,
     PolyVectorField,
+    _add_products,
+    _by_indices,
     _frac,
-    _pack,
+    _packer,
     _sort_with_sign,
     euler,
     linear_vector_field,
@@ -216,7 +218,7 @@ def centralizer_kernel(c_matrix, k):
         raise PreconditionError(f"polynomial degree must be >= 0, got {k}")
     n = c_matrix.dim
     c_field = matrix_action_field(c_matrix)
-    keys = [(_pack(n, exp), (j,)) for exp in monomial_exponents(n, k)
+    keys = [(key, (j,)) for key in map(_packer(n), monomial_exponents(n, k))
             for j in range(1, n + 1)]
     kernel = _operator_kernel(PolyVectorField, n, keys, lambda a: schouten(c_field, a))
     return SolutionSpace._independent(f"P^({k},1) in dimension {n}", kernel)
@@ -287,7 +289,8 @@ def compatible_cubic_oneforms(a_matrix):
     if a_matrix.trace() != 0:
         raise PreconditionError("stratum matrix must be trace-free")
     a_field = matrix_action_field(a_matrix)
-    keys = [(_pack(4, exp), (k,)) for k in range(1, 5) for exp in CUBIC4_DISPLAY_ORDER]
+    packed = list(map(_packer(4), CUBIC4_DISPLAY_ORDER))
+    keys = [(key, (k,)) for k in range(1, 5) for key in packed]
     kernel = _operator_kernel(PolyDifferentialForm, 4, keys,
                               lambda th: schouten(a_field, from_form(th)))
     return SolutionSpace._independent(
@@ -321,16 +324,11 @@ def _quartic_pairing(dthetas):
     over the six ordered complementary index pairs (ab, cd) of
     (d theta_i)_{ab} (d theta_j)_{cd}.  The integer numerators of each
     d theta_i, over its denominator D_i, are bucketed by index pair; a pair
-    (i, j) accumulates in integers, each product monomial the sum of two
-    packed keys, and each nonzero coefficient becomes one
-    ``Fraction(factor * total, D_i * D_j)``.
+    (i, j) accumulates in integers through ``_add_products``, each product
+    monomial the sum of two packed keys, and each nonzero coefficient
+    becomes one ``Fraction(factor * total, D_i * D_j)``.
     """
-    buckets = []
-    for dtheta in dthetas:
-        by_pair = {}
-        for (packed, idx), c in dtheta.nums.items():
-            by_pair.setdefault(idx, []).append((packed, c))
-        buckets.append((dtheta.den, by_pair))
+    buckets = [(dtheta.den, _by_indices(dtheta.nums)) for dtheta in dthetas]
     per_monomial = {}
     for i, (d_i, left) in enumerate(buckets):
         for j in range(i, len(buckets)):
@@ -339,12 +337,7 @@ def _quartic_pairing(dthetas):
             for ab, cd, sign in _COMPLEMENTARY_PAIRS:
                 if ab not in left or cd not in right:
                     continue
-                for ea, ca in left[ab]:
-                    if sign < 0:
-                        ca = -ca
-                    for eb, cb in right[cd]:
-                        key = ea + eb
-                        totals[key] = totals.get(key, 0) + ca * cb
+                _add_products(totals, left[ab], right[cd], sign < 0)
             factor = 1 if i == j else 2
             for key, total in totals.items():
                 if total:

@@ -26,8 +26,9 @@ Every stored key has total degree below ``_DEGREE_TOP`` = 2^15: the sum of
 two keys is the key of the product of their monomials with no carry between
 fields, and d/dx_m subtracts the key of x_m.  A degree past the bound raises
 ``DegreeLimitError``: the constructor checks each key, and each kernel that
-adds keys checks the degree field of each result key.  ``_pack`` and
-``_unpack`` are the only conversions between tuples and packed keys.
+adds keys checks the degree field of each result key.  ``_packer`` (and
+``_pack`` for one tuple) and ``_unpack`` are the only conversions between
+tuples and packed keys.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
@@ -39,8 +40,8 @@ factor of the result once, through ``_normalised``.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
-from struct import error as StructError, pack, unpack
+from operator import index, lt
+from struct import Struct, error as StructError, unpack
 
 from .errors import (
     DegenerateNormalizerError,
@@ -52,7 +53,7 @@ from .errors import (
 from . import linalg
 
 
-# Bits per field of a packed key.  ``_pack`` and ``_unpack`` write the
+# Bits per field of a packed key.  ``_packer`` and ``_unpack`` write the
 # fields with the struct codes of this width: ``H`` for an exponent and ``h``
 # for the degree, whose range [0, 2^15) is the degree bound.
 _W = 16
@@ -60,24 +61,36 @@ _MASK = (1 << _W) - 1
 _DEGREE_TOP = 1 << (_W - 1)
 
 
-def _pack(dim, exponents):
-    """The packed key of an exponent tuple of length ``dim``.
+def _packer(dim):
+    """The function that packs an exponent tuple of length ``dim`` into its
+    key, with the struct code formatted into one ``Struct`` per call here,
+    so code that packs many tuples of one ``dim`` formats it once.
 
     A non-integer exponent raises ``TypeError``, a wrong length or a
     negative exponent ``DimensionError``, and a total degree of
     ``_DEGREE_TOP`` or more ``DegreeLimitError``.  struct checks all of it
     on the way in, and only a tuple it refuses is looked at again."""
-    try:
-        return int.from_bytes(pack(f">{dim}Hh", *exponents, sum(exponents)), "big")
-    except (StructError, TypeError):
-        pass
-    exponents = tuple(map(index, exponents))
-    if len(exponents) != dim or any(e < 0 for e in exponents):
-        raise DimensionError(f"bad exponent tuple {exponents} for dimension {dim}")
-    if sum(exponents) < _DEGREE_TOP:
-        # integers that only their own type kept from summing or packing
-        return _pack(dim, exponents)
-    raise DegreeLimitError(f"term degree exceeds the limit of {_DEGREE_TOP - 1}")
+    pack_fields = Struct(f">{dim}Hh").pack
+
+    def packed(exponents):
+        try:
+            return int.from_bytes(pack_fields(*exponents, sum(exponents)), "big")
+        except (StructError, TypeError):
+            pass
+        exponents = tuple(map(index, exponents))
+        if len(exponents) != dim or any(e < 0 for e in exponents):
+            raise DimensionError(f"bad exponent tuple {exponents} for dimension {dim}")
+        if sum(exponents) < _DEGREE_TOP:
+            # integers that only their own type kept from summing or packing
+            return packed(exponents)
+        raise DegreeLimitError(f"term degree exceeds the limit of {_DEGREE_TOP - 1}")
+    return packed
+
+
+def _pack(dim, exponents):
+    """The packed key of one exponent tuple of length ``dim``, through
+    ``_packer(dim)``, which raises what it raises."""
+    return _packer(dim)(exponents)
 
 
 def _unpack(dim, packed):
@@ -169,6 +182,13 @@ def _by_indices(nums):
     return groups
 
 
+def _past_the_bound(packed):
+    """The error for a result key whose degree field reached ``_DEGREE_TOP``."""
+    return DegreeLimitError(
+        f"a result has a term of degree {packed & _MASK}, past the limit of "
+        f"{_DEGREE_TOP - 1}")
+
+
 def _flattened(grouped):
     """The nonzero kernel totals ``{indices: {packed: total}}`` keyed
     ``(packed, indices)``.  Each packed key is the sum of two stored keys,
@@ -177,10 +197,21 @@ def _flattened(grouped):
     totals = {(p, idx): t for idx, sums in grouped.items() for p, t in sums.items() if t}
     for p, _ in totals:
         if p & _DEGREE_TOP:
-            raise DegreeLimitError(
-                f"a result has a term of degree {p & _MASK}, past the limit of "
-                f"{_DEGREE_TOP - 1}")
+            raise _past_the_bound(p)
     return totals
+
+
+def _add_products(sums, left, right, negate):
+    """Add into ``sums`` (``{packed: integer}``) the product of the terms
+    ``left`` and ``right``, each an iterable of ``(packed, integer)``:
+    packed keys add with one ``+`` and numerators multiply, negated when
+    ``negate`` is true.  The caller checks the degree field of the keys."""
+    for ea, ca in left:
+        if negate:
+            ca = -ca
+        for eb, cb in right:
+            key = ea + eb
+            sums[key] = sums.get(key, 0) + ca * cb
 
 
 def _normalised(totals, den):
@@ -227,13 +258,14 @@ class _SparseTerms:
         dim = index(dim)
         if dim < 1:
             raise DimensionError(f"ambient dimension must be >= 1, got {dim}")
+        packer = _packer(dim)
         signed = []
         for (exp, idx), coeff in (terms or {}).items():
             # the key is checked even when the coefficient is zero
-            packed = _pack(dim, exp)
+            packed = packer(exp)
             idx = tuple(map(index, idx))
-            if (any(j < 1 or j > dim for j in idx)
-                    or (self._overlong_raises and len(idx) > dim)):
+            if idx and (min(idx) < 1 or max(idx) > dim
+                        or (self._overlong_raises and len(idx) > dim)):
                 raise DimensionError(f"{self._index_kind} index out of range in {idx}")
             coeff = _frac(coeff)
             if not coeff:
@@ -416,8 +448,11 @@ class PolyVectorField(_SparseTerms):
 def _sort_with_sign(idx):
     """Insertion-sort an index tuple, tracking the permutation sign.
 
-    Returns ``(0, ())`` when an index repeats.
+    Returns ``(0, ())`` when an index repeats, and a strictly increasing
+    tuple at once, as it is, with sign 1.
     """
+    if all(map(lt, idx, idx[1:])):
+        return 1, idx
     lst = list(idx)
     sign = 1
     for i in range(1, len(lst)):

@@ -18,7 +18,18 @@ from .errors import (
     ParityError,
     PreconditionError,
 )
-from .fields import PolyVectorField, _frac, _unpack, euler, schouten, wedge
+from .fields import (
+    _DEGREE_TOP,
+    PolyVectorField,
+    _add_products,
+    _by_indices,
+    _frac,
+    _past_the_bound,
+    _unpack,
+    euler,
+    schouten,
+    wedge,
+)
 from . import linalg
 from .duality import trace_d
 from .decomposition import decompose
@@ -170,27 +181,27 @@ def generic_rank(p):
     ``_scaled_point_values``, a further positive multiple.  A positive
     scalar changes no pivot column and no Pfaffian's vanishing, so S, the
     Pfaffians' zero tests and the rank are those of M itself, and the
-    Pfaffians stay integer polynomials.
+    Pfaffians stay integer polynomials: each upper entry is the dict
+    ``{packed: numerator}`` of its terms, a 2-row block is its entry, and
+    ``_pfaffian`` expands a larger one into such a dict of integer totals
+    through the product loop ``_add_products``, with the degree-field check
+    at each level and no field built on the way.
     """
     for ell in p.vector_degrees():
         if ell != 2:
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
-    n = p.dim
-    entries = {}
-    for (packed, ij), c in p.nums.items():
-        entries.setdefault(ij, {})[(packed, ())] = c
-    upper = {ij: PolyVectorField._wrap(n, nums, 1) for ij, nums in entries.items()}
+    upper = {ij: dict(terms) for ij, terms in _by_indices(p.nums).items()}
     values = _scaled_point_values(p)
-    support = sorted({i for ij in entries for i in ij})
+    support = sorted({i for ij in upper for i in ij})
     at_point = [[values.get((i, j), 0) if i < j else -values.get((j, i), 0)
                  for j in support] for i in support]
     _, pivots = linalg.rref(at_point)
     chosen = [support[c] for c in pivots]
-    memo = {(): PolyVectorField._wrap(n, {(0, ()): 1}, 1)}
+    memo = {}
     while True:
         rest = [i for i in support if i not in chosen]
         for i, j in combinations(rest, 2):
-            if not _pfaffian(n, tuple(sorted(chosen + [i, j])), upper, memo).is_zero():
+            if _pfaffian(tuple(sorted(chosen + [i, j])), upper, memo):
                 chosen += [i, j]
                 break
         else:
@@ -202,20 +213,23 @@ def _scaled_point_values(p):
     bi-vector ``p`` at x_m = a_m / b_m, a_m = m(m + 1) + 1 and b_m = m + 1,
     times prod_m b_m^top_m, where top_m is the largest exponent of x_m in
     ``p``.  A term c x^e then contributes the integer
-    c prod_m a_m^e_m b_m^(top_m - e_m), read from one table per variable.
+    c prod_m a_m^e_m b_m^(top_m - e_m), read from one table per variable
+    that holds the exponents of x_m that occur.  A table of every exponent
+    up to top_m instead costs time quadratic in top_m: four terms of degree
+    16,384 took 5.7 s that way.
 
     Each distinct monomial is unpacked and evaluated once.  Reading each
     e_m off the packed key with a shift instead costs O(n) per variable and
     term, quadratic in n: a 99-term bi-vector at n = 10,000 took 4 s that
     way."""
     n = p.dim
-    monomials = {packed: _unpack(n, packed) for packed, _ in p.nums}
-    top = [max(column) for column in zip(*monomials.values())]
+    monomials = {packed: _unpack(n, packed) for packed in {packed for packed, _ in p.nums}}
     tables = []
-    for m, t in enumerate(top):
+    for m, column in enumerate(zip(*monomials.values())):
+        t = max(column)
         if t:
             a, b = (m + 1) * (m + 2) + 1, m + 2
-            tables.append((m, [a ** e * b ** (t - e) for e in range(t + 1)]))
+            tables.append((m, {e: a ** e * b ** (t - e) for e in set(column)}))
     for packed, exp in monomials.items():
         value = 1
         for m, table in tables:
@@ -227,12 +241,24 @@ def _scaled_point_values(p):
     return values
 
 
-def _pfaffian(n, rows, upper, memo):
+def _pfaffian(rows, upper, memo):
     """Pfaffian of the principal block on the sorted index tuple ``rows``,
-    given the entries above the diagonal as integer 0-vector fields (the
-    product of two of them is their wedge).  Expands along the first row in
-    integers, memoised in ``memo`` by index tuple; ``memo[()]`` holds the
-    constant 1."""
+    of even length, as the integer polynomial ``{packed: nonzero total}``,
+    given the entries above the diagonal as such dicts in ``upper``.
+
+    A 2-row block is its entry, returned as it is.  A larger one expands
+    along the first row: each entry times the Pfaffian of its minor adds,
+    with its sign, straight into one totals dict through
+    ``_add_products``, the keys adding with one ``+``.  Every key of the
+    totals, a cancelled one too, then gets the degree-field check of
+    ``_flattened``: a product of two nonzero polynomials keeps its
+    top-degree term, so this raises ``DegreeLimitError`` exactly when a
+    product of the expansion reaches ``_DEGREE_TOP``, and every stored
+    key, like every entry key, stays below it, so the sum of two never
+    carries between fields.  The nonzero totals are memoised in ``memo``
+    by index tuple."""
+    if len(rows) == 2:
+        return upper.get(rows, {})
     found = memo.get(rows)
     if found is not None:
         return found
@@ -242,10 +268,12 @@ def _pfaffian(n, rows, upper, memo):
         entry = upper.get((first, rows[t]))
         if entry is None:
             continue
-        minor = _pfaffian(n, rows[1:t] + rows[t + 1:], upper, memo)
-        for key, c in entry._wedge(minor).nums.items():
-            totals[key] = totals.get(key, 0) + (c if t % 2 else -c)
-    found = memo[rows] = PolyVectorField._reduced(n, totals, 1)
+        minor = _pfaffian(rows[1:t] + rows[t + 1:], upper, memo)
+        _add_products(totals, entry.items(), minor.items(), t % 2 == 0)
+    for key in totals:
+        if key & _DEGREE_TOP:
+            raise _past_the_bound(key)
+    found = memo[rows] = {key: c for key, c in totals.items() if c}
     return found
 
 

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from polyvec import (
+    DegreeLimitError,
     DimensionError,
     ExceptionalDegreeError,
     IncompatibleSplittingError,
@@ -35,13 +37,16 @@ from util import (
     CASE_A12,
     g_ab_bivector,
     generic_rank_by_minors,
+    pfaffian_by_wedges,
     point_values_by_fractions,
     pv,
     random_invertible,
     so3_bivector,
+    wedge_entries,
 )
+from polyvec import fields, structures
 from polyvec.classifier import cubic3_catalog
-from polyvec.structures import _scaled_point_values
+from polyvec.structures import _pfaffian, _scaled_point_values
 
 
 def test_is_poisson_examples():
@@ -207,6 +212,92 @@ def test_integer_point_is_a_positive_multiple_of_the_fraction_point():
 
         assert linalg.rref(skew(values))[1] == linalg.rref(skew(oracle))[1]
     assert varied > 20
+
+
+def test_point_values_unpack_each_distinct_monomial_once(monkeypatch):
+    calls = []
+
+    def counting(dim, packed):
+        calls.append(packed)
+        return unpack(dim, packed)
+
+    unpack = structures._unpack
+    monkeypatch.setattr(structures, "_unpack", counting)
+    repeated = 0
+    for p in scale_cases():
+        calls.clear()
+        _scaled_point_values(p)
+        distinct = [packed for packed, _ in p.nums]
+        repeated += len(distinct) > len(set(distinct))
+        assert sorted(calls) == sorted(set(distinct)), p
+    assert repeated > 20
+
+
+def test_generic_rank_makes_the_degree_bound_hold_in_its_pfaffians():
+    """Pf(1234) = x1^e x2^e - x1^e x2^e is the zero polynomial, but each of
+    its products has degree 2e = 32768, past the bound, and a key of that
+    degree would carry out of its degree field if it were ever added to."""
+    e = 16384
+    p = PolyVectorField(4, {((e, 0, 0, 0), (1, 2)): 1, ((e, 0, 0, 0), (1, 4)): 1,
+                            ((0, e, 0, 0), (2, 3)): -1, ((0, e, 0, 0), (3, 4)): 1})
+    with pytest.raises(DegreeLimitError,
+                       match="^a result has a term of degree 32768, past the limit of 32767$"):
+        generic_rank(p)
+
+
+def pfaffian_cases():
+    """Seeded sums of wedges of linear fields, with and without the
+    symplectic form, at n = 4..8: ranks 2, 4 and full."""
+    rng = random.Random(1818)
+    cases = []
+    for n in range(4, 9):
+        x, y, z, w = (as_field(n, linear_field(rng, n, rng.randint(2, n))) for _ in range(4))
+        cases += [wedge(x, y), wedge(x, y) + wedge(z, w), symplectic(n) + wedge(x, y)]
+    return cases
+
+
+def test_integer_pfaffians_equal_the_wedge_oracle():
+    """Every even-sized principal Pfaffian on the support, from 2 x 2 up,
+    equals the numerators of the Pfaffian expanded by field wedges."""
+    nonzero = vanishing = 0
+    for p in pfaffian_cases():
+        upper = {ij: dict(terms) for ij, terms in fields._by_indices(p.nums).items()}
+        fields_upper, fields_memo = wedge_entries(p)
+        memo = {}
+        support = sorted({i for ij in upper for i in ij})
+        for size in range(2, len(support) + 1, 2):
+            for rows in combinations(support, size):
+                value = _pfaffian(rows, upper, memo)
+                oracle = pfaffian_by_wedges(p.dim, rows, fields_upper, fields_memo)
+                assert oracle.den == 1
+                assert value == {packed: c for (packed, _), c in oracle.nums.items()}, (p, rows)
+                if size >= 4:
+                    nonzero += bool(value)
+                    vanishing += not value
+    assert nonzero > 100 and vanishing > 100
+
+
+def test_generic_rank_builds_no_field_for_its_pfaffians(monkeypatch):
+    """A rank-deficient input reaches the bordered Pfaffians, and they
+    expand with no ``_wedge`` call and no field stored."""
+    rng = random.Random(7)
+    x, y = (as_field(6, linear_field(rng, 6, 5)) for _ in range(2))
+    p = wedge(x, y)
+    counts = {"_wedge": 0, "_store": 0, "_pfaffian": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(fields._SparseTerms, "_wedge")
+    counting(fields, "_store")
+    counting(structures, "_pfaffian")
+    assert generic_rank(p) == 2
+    assert counts["_wedge"] == counts["_store"] == 0 < counts["_pfaffian"]
 
 
 def test_generic_rank_matches_minor_oracle():

@@ -28,7 +28,7 @@ from polyvec.classifier import (
 from polyvec.cli import _VAR_ALIASES, MAX_DEGREE, ExpressionAST, _digit_limit_error
 from polyvec.duality import exterior_derivative
 from polyvec.errors import DimensionError, ParseError, PolyvecError
-from polyvec.fields import _sort_with_sign, merge_indices
+from polyvec.fields import _by_indices, _sort_with_sign, merge_indices
 
 
 def _frac(x):
@@ -135,6 +135,41 @@ def _poly_det(m, zero):
         term = entry.wedge(_poly_det(sub, zero))
         det = det - term if col % 2 else det + term
     return det
+
+
+def pfaffian_by_wedges(n, rows, upper, memo):
+    """Pfaffian of the principal block on the sorted index tuple ``rows``,
+    given the entries above the diagonal as integer 0-vector fields (the
+    product of two of them is their wedge).  Expands along the first row in
+    integers, memoised in ``memo`` by index tuple; ``memo[()]`` holds the
+    constant 1.
+
+    The library's expansion when each product was a field built by
+    ``_wedge``; kept only as an oracle of ``structures._pfaffian``."""
+    found = memo.get(rows)
+    if found is not None:
+        return found
+    first = rows[0]
+    totals = {}
+    for t in range(1, len(rows)):
+        entry = upper.get((first, rows[t]))
+        if entry is None:
+            continue
+        minor = pfaffian_by_wedges(n, rows[1:t] + rows[t + 1:], upper, memo)
+        for key, c in entry._wedge(minor).nums.items():
+            totals[key] = totals.get(key, 0) + (c if t % 2 else -c)
+    found = memo[rows] = PolyVectorField._reduced(n, totals, 1)
+    return found
+
+
+def wedge_entries(p):
+    """The upper entries of the bi-vector ``p`` as integer 0-vector fields
+    of its numerators, and the memo holding the constant 1: the inputs of
+    ``pfaffian_by_wedges`` as the library built them."""
+    n = p.dim
+    upper = {ij: PolyVectorField._wrap(n, {(packed, ()): c for packed, c in terms}, 1)
+             for ij, terms in _by_indices(p.nums).items()}
+    return upper, {(): PolyVectorField._wrap(n, {(0, ()): 1}, 1)}
 
 
 def _diff_monomial(exp, m):
