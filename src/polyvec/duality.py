@@ -14,11 +14,13 @@ from .errors import DimensionError, DomainError
 from .fields import (
     _MASK,
     PolyVectorField,
+    _add_products,
+    _by_indices,
+    _derivative_buckets,
     _flattened,
     _shift,
     _SparseTerms,
     _sort_with_sign,
-    _unpack,
     merge_indices,
 )
 
@@ -91,42 +93,39 @@ def from_form(omega):
 
 def exterior_derivative(omega):
     """Standard exterior derivative; raises the form degree by one and
-    squares to zero."""
-    dim = omega.dim
+    squares to zero.  It reads the derivatives d/dx_j of the terms from
+    ``_derivative_buckets``, so dx_j merges once per variable and index
+    tuple."""
     totals = {}
-    for (packed, idx), c in omega.nums.items():
-        for m, e in enumerate(_unpack(dim, packed)):
-            if not e:
-                continue
-            merged = merge_indices((m + 1,), idx)
+    for j, bucket in _derivative_buckets(omega.dim, omega.nums).items():
+        for idx, derivatives in bucket.items():
+            merged = merge_indices((j,), idx)
             if merged is None:
                 continue
             sign, new_idx = merged
-            key = (packed - (1 << _shift(dim, m)) - 1, new_idx)
-            totals[key] = totals.get(key, 0) + sign * e * c
-    return PolyDifferentialForm._reduced(dim, totals, omega.den)
+            for packed, c in derivatives:
+                key = (packed, new_idx)
+                totals[key] = totals.get(key, 0) + sign * c
+    return PolyDifferentialForm._reduced(omega.dim, totals, omega.den)
 
 
 def interior_product(x, omega):
-    """Contraction of a polynomial vector field into a form."""
+    """Contraction of a polynomial vector field into a form: the slot dx_j
+    at position t of an index tuple meets the d_j component of ``x`` with
+    the sign (-1)^t, once per index tuple and slot."""
     if x.dim != omega.dim:
         raise DimensionError(f"dimension mismatch: {x.dim} vs {omega.dim}")
-    components = {}
-    for (packed, idx), c in x.nums.items():
-        if len(idx) != 1:
-            raise DimensionError("interior product needs a vector field")
-        components.setdefault(idx[0], {})[packed] = c
+    components = _by_indices(x.nums)
+    if any(len(idx) != 1 for idx in components):
+        raise DimensionError("interior product needs a vector field")
     grouped = {}
-    for (packed, idx), c in omega.nums.items():
+    for idx, terms in _by_indices(omega.nums).items():
         for t, j in enumerate(idx):
-            comp = components.get(j)
-            if not comp:
+            comp = components.get((j,))
+            if comp is None:
                 continue
-            signed = -c if t % 2 else c
             sums = grouped.setdefault(idx[:t] + idx[t + 1:], {})
-            for xpacked, xc in comp.items():
-                key = packed + xpacked
-                sums[key] = sums.get(key, 0) + signed * xc
+            _add_products(sums, terms, comp, t % 2)
     return PolyDifferentialForm._reduced(omega.dim, _flattened(grouped), x.den * omega.den)
 
 

@@ -26,15 +26,21 @@ Every stored key has total degree below ``_DEGREE_TOP`` = 2^15: the sum of
 two keys is the key of the product of their monomials with no carry between
 fields, and d/dx_m subtracts the key of x_m.  A degree past the bound raises
 ``DegreeLimitError``: the constructor checks each key, and each kernel that
-adds keys checks the degree field of each result key.  ``_packer`` (and
-``_pack`` for one tuple) and ``_unpack`` are the only conversions between
-tuples and packed keys.
+adds keys checks the degree field of each result key through
+``_check_degrees``.  ``_packer`` and ``_unpack`` are the only conversions
+between tuples and packed keys.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
 radial fields and the action of linear diffeomorphisms.  The constructor
 and each kernel accumulate integer numerators and divide out the common
-factor of the result once, through ``_normalised``.
+factor of the result once, through ``_normalised``.  ``_add_products`` is
+the one loop that multiplies packed terms: the wedge, the Schouten bracket,
+``duality.interior_product``, the coordinate products of ``pushforward``,
+the bordered Pfaffians of ``structures.generic_rank`` and the quartic
+pairing of the dim-4 catalog all multiply through it.  The terms that a
+product differentiates come from ``_derivative_buckets``, which the
+Schouten bracket and ``duality.exterior_derivative`` read.
 """
 
 import math
@@ -64,7 +70,8 @@ _DEGREE_TOP = 1 << (_W - 1)
 def _packer(dim):
     """The function that packs an exponent tuple of length ``dim`` into its
     key, with the struct code formatted into one ``Struct`` per call here,
-    so code that packs many tuples of one ``dim`` formats it once.
+    so code that packs many tuples of one ``dim`` formats it once; one
+    tuple packs as ``_packer(dim)(exponents)``.
 
     A non-integer exponent raises ``TypeError``, a wrong length or a
     negative exponent ``DimensionError``, and a total degree of
@@ -85,12 +92,6 @@ def _packer(dim):
             return packed(exponents)
         raise DegreeLimitError(f"term degree exceeds the limit of {_DEGREE_TOP - 1}")
     return packed
-
-
-def _pack(dim, exponents):
-    """The packed key of one exponent tuple of length ``dim``, through
-    ``_packer(dim)``, which raises what it raises."""
-    return _packer(dim)(exponents)
 
 
 def _unpack(dim, packed):
@@ -182,22 +183,23 @@ def _by_indices(nums):
     return groups
 
 
-def _past_the_bound(packed):
-    """The error for a result key whose degree field reached ``_DEGREE_TOP``."""
-    return DegreeLimitError(
-        f"a result has a term of degree {packed & _MASK}, past the limit of "
-        f"{_DEGREE_TOP - 1}")
+def _check_degrees(keys):
+    """Raise ``DegreeLimitError`` for the first packed key of ``keys``
+    whose degree field reached ``_DEGREE_TOP``.  Each is the sum of two
+    stored keys, whose degrees are below ``_DEGREE_TOP``, so no field
+    carried on the way."""
+    for packed in keys:
+        if packed & _DEGREE_TOP:
+            raise DegreeLimitError(
+                f"a result has a term of degree {packed & _MASK}, past the limit of "
+                f"{_DEGREE_TOP - 1}")
 
 
 def _flattened(grouped):
     """The nonzero kernel totals ``{indices: {packed: total}}`` keyed
-    ``(packed, indices)``.  Each packed key is the sum of two stored keys,
-    whose degrees are below ``_DEGREE_TOP``, so no field carried; a term
-    whose degree field reached ``_DEGREE_TOP`` raises ``DegreeLimitError``."""
+    ``(packed, indices)``, after ``_check_degrees`` of their packed keys."""
     totals = {(p, idx): t for idx, sums in grouped.items() for p, t in sums.items() if t}
-    for p, _ in totals:
-        if p & _DEGREE_TOP:
-            raise _past_the_bound(p)
+    _check_degrees(p for p, _ in totals)
     return totals
 
 
@@ -374,12 +376,7 @@ class _SparseTerms:
                 sums = grouped.get(idx)
                 if sums is None:
                     sums = grouped[idx] = {}
-                for ea, ca in left:
-                    if sign < 0:
-                        ca = -ca
-                    for eb, cb in terms:
-                        key = ea + eb
-                        sums[key] = sums.get(key, 0) + ca * cb
+                _add_products(sums, left, terms, sign < 0)
         return self._reduced(self.dim, _flattened(grouped), self.den * other.den)
 
     def __repr__(self):
@@ -532,12 +529,7 @@ def _slot_derivatives(grouped, groups, buckets, twist):
                 sums = grouped.get(idx)
                 if sums is None:
                     sums = grouped[idx] = {}
-                for ea, ca in terms:
-                    if sign < 0:
-                        ca = -ca
-                    for eb, cb in derivatives:
-                        key = ea + eb
-                        sums[key] = sums.get(key, 0) + ca * cb
+                _add_products(sums, terms, derivatives, sign < 0)
 
 
 def schouten(u, v):
@@ -722,10 +714,7 @@ def pushforward(l_matrix, u):
 
     def times_coordinate(poly, factor):
         out = {}
-        for mono, c in poly.items():
-            for unit, v in factor:
-                key = mono + unit
-                out[key] = out.get(key, 0) + c * v
+        _add_products(out, poly.items(), factor, False)
         return {key: c for key, c in out.items() if c}
 
     def last_partial(idx):
@@ -795,7 +784,7 @@ def skew_component(u, lower, upper):
     if slot is None:
         return Fraction(0)
     sign, (exp, idx), fact = slot
-    coeff = u.nums.get((_pack(u.dim, exp), idx))
+    coeff = u.nums.get((_packer(u.dim)(exp), idx))
     return Fraction(0) if coeff is None else Fraction(sign * fact * coeff, u.den)
 
 

@@ -19,12 +19,11 @@ from .errors import (
     PreconditionError,
 )
 from .fields import (
-    _DEGREE_TOP,
     PolyVectorField,
     _add_products,
     _by_indices,
+    _check_degrees,
     _frac,
-    _past_the_bound,
     _unpack,
     euler,
     schouten,
@@ -250,13 +249,13 @@ def _pfaffian(rows, upper, memo):
     along the first row: each entry times the Pfaffian of its minor adds,
     with its sign, straight into one totals dict through
     ``_add_products``, the keys adding with one ``+``.  Every key of the
-    totals, a cancelled one too, then gets the degree-field check of
-    ``_flattened``: a product of two nonzero polynomials keeps its
-    top-degree term, so this raises ``DegreeLimitError`` exactly when a
-    product of the expansion reaches ``_DEGREE_TOP``, and every stored
-    key, like every entry key, stays below it, so the sum of two never
-    carries between fields.  The nonzero totals are memoised in ``memo``
-    by index tuple."""
+    totals, a cancelled one too, then goes through ``_check_degrees``,
+    which ``_flattened`` runs on nonzero totals only: a product of two
+    nonzero polynomials keeps its top-degree term, so this raises
+    ``DegreeLimitError`` exactly when a product of the expansion reaches
+    ``_DEGREE_TOP``, and every stored key, like every entry key, stays
+    below it, so the sum of two never carries between fields.  The nonzero
+    totals are memoised in ``memo`` by index tuple."""
     if len(rows) == 2:
         return upper.get(rows, {})
     found = memo.get(rows)
@@ -270,9 +269,7 @@ def _pfaffian(rows, upper, memo):
             continue
         minor = _pfaffian(rows[1:t] + rows[t + 1:], upper, memo)
         _add_products(totals, entry.items(), minor.items(), t % 2 == 0)
-    for key in totals:
-        if key & _DEGREE_TOP:
-            raise _past_the_bound(key)
+    _check_degrees(totals)
     found = memo[rows] = {key: c for key, c in totals.items() if c}
     return found
 

@@ -2,30 +2,41 @@
 against their exponent-tuple oracles in ``util``, and the degree bound of
 the packed fields, at it and one past it."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import polyvec
 from polyvec import (
     BiDegree,
     DegreeLimitError,
     DimensionError,
+    LinearMatrix,
     PolyDifferentialForm,
     PolyVectorField,
     exterior_derivative,
     format_expr,
+    generic_rank,
+    homogeneous_components,
     interior_product,
+    parse_field,
+    pushforward,
     schouten,
     to_form,
     trace_d,
     wedge,
 )
-from polyvec.fields import _unpack
+from polyvec import classifier, duality, fields, structures
+from polyvec.classifier import _quartic_pairing
+from polyvec.fields import _unpack, merge_indices
+from polyvec.invariants import random_nonzero, random_pairs
 from util import (
     exterior_derivative_by_tuples,
     format_expr_by_tuples,
+    interior_product_by_tuples,
     schouten_by_tuples,
     trace_d_by_tuples,
     tuple_nums,
@@ -97,6 +108,12 @@ def test_packed_kernels_equal_the_tuple_oracles(pair):
             if not isinstance(value, str):
                 assert all(type(p) is int and type(idx) is tuple for p, idx in value.nums)
                 assert format_expr(value) == format_expr_by_tuples(value)
+    for a, b in ((u, v), (v, u)):
+        x = sum((part for deg, part in homogeneous_components(a).items() if deg.ell == 1),
+                PolyVectorField.zero(a.dim))
+        omega = to_form(b)
+        value = outcome(lambda: interior_product(x, omega))
+        assert value == outcome(lambda: interior_product_by_tuples(x, omega))
     for w in (u, v):
         assert trace_d(w) == trace_d_by_tuples(w)
         omega = to_form(w)
@@ -175,3 +192,67 @@ def test_exponents_that_are_integers_only_by_index_are_packed():
 
     field = PolyVectorField(2, {((Exponent(2), Exponent(1)), (1,)): 1})
     assert field == PolyVectorField.single(2, 1, (2, 1), (1,))
+
+
+def wedge_pairs(u, v):
+    """The term pairs a wedge must multiply: those with disjoint index
+    tuples."""
+    return sum(merge_indices(ia, ib) is not None for _, ia in u.terms for _, ib in v.terms)
+
+
+def schouten_pairs(u, v):
+    """The term pairs a Schouten bracket must multiply: in each half, a slot
+    d_j of one operand's term meets a monomial of the other's that contains
+    x_j, and the remaining indices merge with the other's."""
+    return sum(eb[j - 1] > 0 and merge_indices(ia[:t] + ia[t + 1:], ib) is not None
+               for a, b in ((u, v), (v, u))
+               for _, ia in a.terms for t, j in enumerate(ia)
+               for eb, ib in b.terms)
+
+
+def test_add_products_is_the_one_product_loop(monkeypatch):
+    """Every kernel that multiplies packed terms reaches
+    ``fields._add_products``, and the term pairs that the wedge and the
+    Schouten bracket hand it are exactly the pairs they must visit: the
+    count that a per-kernel counter or work budget reads."""
+    real = fields._add_products
+    modules = (fields, duality, structures, classifier)
+    assert {m for m in vars(polyvec).values()
+            if getattr(m, "_add_products", None) is real} == set(modules)
+    pairs = []
+
+    def counting(sums, left, right, negate):
+        pairs.append(len(left) * len(right))
+        real(sums, left, right, negate)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_add_products", counting)
+
+    rng = random.Random(19)
+    cases = list(random_pairs(rng, 20))
+    for n in (2, 3, 4, 4, 5):
+        u, v = (sum((random_nonzero(rng, n, rng.randint(0, 3), rng.randint(0, n), 4)
+                     for _ in range(3)), PolyVectorField.zero(n)) for _ in range(2))
+        cases.append((u, v))
+    visited = 0
+    for u, v in cases:
+        for kernel, expected in ((wedge, wedge_pairs), (schouten, schouten_pairs)):
+            pairs.clear()
+            kernel(u, v)
+            assert sum(pairs) == expected(u, v), (kernel.__name__, u, v)
+            visited += sum(pairs)
+    assert visited > 400
+
+    x = parse_field("x2*d1 - 2*x1*x3*d3", 3)
+    omega = to_form(parse_field("x1*d1/\\d2 + x3^2*d2/\\d3 + d1", 3))
+    rank_two = wedge(parse_field("d1 + x3*d2", 4), parse_field("d3 + x1*d4", 4))
+    dthetas = [exterior_derivative(to_form(parse_field(text, 4)))
+               for text in ("x1^2*x2*d1/\\d2/\\d3", "x3*x4^2*d1/\\d3/\\d4 + x2^3*d2/\\d3/\\d4")]
+    for run in (lambda: interior_product(x, omega),
+                lambda: pushforward(LinearMatrix([[1, 2, 0], [0, 1, 0], [3, 0, 1]]), x),
+                lambda: generic_rank(rank_two),
+                lambda: _quartic_pairing(dthetas)):
+        pairs.clear()
+        run()
+        assert pairs
+    assert generic_rank(rank_two) == 2

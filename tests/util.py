@@ -447,6 +447,30 @@ def exterior_derivative_by_tuples(omega):
     return _from_tuple_totals(PolyDifferentialForm, omega.dim, totals, omega.den)
 
 
+def interior_product_by_tuples(x, omega):
+    """``duality.interior_product`` on exponent tuples."""
+    if x.dim != omega.dim:
+        raise DimensionError(f"dimension mismatch: {x.dim} vs {omega.dim}")
+    components = {}
+    for (exp, idx), c in tuple_nums(x).items():
+        if len(idx) != 1:
+            raise DimensionError("interior product needs a vector field")
+        components.setdefault(idx[0], {})[exp] = c
+    grouped = {}
+    for (exp, idx), c in tuple_nums(omega).items():
+        for t, j in enumerate(idx):
+            comp = components.get(j)
+            if not comp:
+                continue
+            signed = -c if t % 2 else c
+            sums = grouped.setdefault(idx[:t] + idx[t + 1:], {})
+            for xexp, xc in comp.items():
+                key = tuple(map(add, exp, xexp))
+                sums[key] = sums.get(key, 0) + signed * xc
+    totals = {(exp, idx): t for idx, sums in grouped.items() for exp, t in sums.items()}
+    return _from_tuple_totals(PolyDifferentialForm, omega.dim, totals, x.den * omega.den)
+
+
 def format_expr_by_tuples(obj, alias="numeric"):
     """``cli.format_expr`` on exponent tuples."""
     dim = obj.dim
