@@ -30,7 +30,6 @@ from .fields import (
     LinearMatrix,
     PolyVectorField,
     _add_products,
-    _by_indices,
     _frac,
     _packer,
     _sort_with_sign,
@@ -76,12 +75,14 @@ CUBIC4_DISPLAY_ORDER = [
 
 def _coordinatize(elements):
     """Sparse integer coordinate rows ``{column: numerator}`` of fields/forms,
-    the columns numbering the sorted union of their term keys.  Each row is
-    its element times the positive ``den``, which changes no rank, span or
-    reduced row echelon form."""
-    keys = sorted({key for el in elements for key in el.nums})
+    the columns numbering the sorted union of their term keys
+    ``(packed, indices)``.  Each row is its element times the positive
+    ``den``, which changes no rank, span or reduced row echelon form."""
+    keys = sorted({(packed, idx) for el in elements
+                   for idx, group in el.nums.items() for packed in group})
     column = {key: c for c, key in enumerate(keys)}
-    rows = [{column[key]: v for key, v in el.nums.items()} for el in elements]
+    rows = [{column[packed, idx]: v for idx, group in el.nums.items()
+             for packed, v in group.items()} for el in elements]
     return keys, rows
 
 
@@ -102,8 +103,10 @@ def _from_coordinates(cls, dim, keys, items):
     over the lcm of their denominators."""
     values = [(keys[c], v) for c, v in items if v]
     den = lcm(*(v.denominator for _, v in values))
-    return cls._reduced(dim, {key: v.numerator * (den // v.denominator)
-                              for key, v in values}, den)
+    grouped = {}
+    for (packed, idx), v in values:
+        grouped.setdefault(idx, {})[packed] = v.numerator * (den // v.denominator)
+    return cls._reduced(dim, grouped, den)
 
 
 def _operator_kernel(cls, dim, keys, operator):
@@ -118,11 +121,12 @@ def _operator_kernel(cls, dim, keys, operator):
     nullspace vector is the coefficient vector of its element over ``keys``.
     """
     rows = {}
-    for j, key in enumerate(keys):
-        image = operator(cls._wrap(dim, {key: 1}, 1))
+    for j, (packed, idx) in enumerate(keys):
+        image = operator(cls._wrap(dim, {idx: {packed: 1}}, 1))
         den = image.den
-        for image_key, c in image.nums.items():
-            rows.setdefault(image_key, []).append((j, c, den))
+        for image_idx, group in image.nums.items():
+            for image_packed, c in group.items():
+                rows.setdefault((image_packed, image_idx), []).append((j, c, den))
     matrix = []
     for entries in rows.values():
         common = lcm(*(den for _, _, den in entries))
@@ -311,7 +315,7 @@ def quartic_constraints(space):
     for theta in space.basis:
         if theta.dim != 4:
             raise DimensionError("quartic constraints live in dimension 4")
-        if any(len(idx) != 1 for _, idx in theta.nums):
+        if any(len(idx) != 1 for idx in theta.nums):
             raise PreconditionError("quartic constraints need a space of 1-forms")
     return _quartic_pairing([exterior_derivative(theta) for theta in space.basis])
 
@@ -323,12 +327,13 @@ def _quartic_pairing(dthetas):
     d theta_j)_{1234}, and in dimension four that component is the signed sum
     over the six ordered complementary index pairs (ab, cd) of
     (d theta_i)_{ab} (d theta_j)_{cd}.  The integer numerators of each
-    d theta_i, over its denominator D_i, are bucketed by index pair; a pair
-    (i, j) accumulates in integers through ``_add_products``, each product
-    monomial the sum of two packed keys, and each nonzero coefficient
-    becomes one ``Fraction(factor * total, D_i * D_j)``.
+    d theta_i, over its denominator D_i, are read in their stored groups by
+    index pair; a pair (i, j) accumulates in integers through
+    ``_add_products``, each product monomial the sum of two packed keys,
+    and each nonzero coefficient becomes one
+    ``Fraction(factor * total, D_i * D_j)``.
     """
-    buckets = [(dtheta.den, _by_indices(dtheta.nums)) for dtheta in dthetas]
+    buckets = [(dtheta.den, dtheta.nums) for dtheta in dthetas]
     per_monomial = {}
     for i, (d_i, left) in enumerate(buckets):
         for j in range(i, len(buckets)):
@@ -337,7 +342,7 @@ def _quartic_pairing(dthetas):
             for ab, cd, sign in _COMPLEMENTARY_PAIRS:
                 if ab not in left or cd not in right:
                     continue
-                _add_products(totals, left[ab], right[cd], sign < 0)
+                _add_products(totals, left[ab].items(), right[cd].items(), sign < 0)
             factor = 1 if i == j else 2
             for key, total in totals.items():
                 if total:

@@ -237,33 +237,30 @@ def format_expr(obj, alias="numeric"):
     denominator = obj.den
     pieces = []
     monomials = {}
-    last_idx = partial = None
     try:
-        for idx, packed, num in sorted([(idx, packed, c)
-                                        for (packed, idx), c in obj.nums.items()]):
-            monomial = monomials.get(packed)
-            if monomial is None:
-                monomial = monomials[packed] = "*".join([
-                    var_names[m] if e == 1 else f"{var_names[m]}^{e}"
-                    for m, e in enumerate(_unpack(dim, packed)) if e])
-            if idx != last_idx:
-                last_idx = idx
-                partial = "/\\".join([partial_names[j - 1] for j in idx])
-            body = (f"{monomial}*{partial}" if monomial else partial) if partial else monomial
-            if num < 0:
-                pieces.append(" - ")
-                num = -num
-            else:
-                pieces.append(" + ")
-            den = denominator
-            if den != 1:
-                g = math.gcd(num, den)
-                num, den = num // g, den // g
-            if den != 1:
-                body = f"{num}/{den}*{body}" if body else f"{num}/{den}"
-            elif num != 1 or not body:
-                body = f"{num}*{body}" if body else str(num)
-            pieces.append(body)
+        for idx, group in sorted(obj.nums.items()):
+            partial = "/\\".join([partial_names[j - 1] for j in idx])
+            for packed, num in sorted(group.items()):
+                monomial = monomials.get(packed)
+                if monomial is None:
+                    monomial = monomials[packed] = "*".join([
+                        var_names[m] if e == 1 else f"{var_names[m]}^{e}"
+                        for m, e in enumerate(_unpack(dim, packed)) if e])
+                body = (f"{monomial}*{partial}" if monomial else partial) if partial else monomial
+                if num < 0:
+                    pieces.append(" - ")
+                    num = -num
+                else:
+                    pieces.append(" + ")
+                den = denominator
+                if den != 1:
+                    g = math.gcd(num, den)
+                    num, den = num // g, den // g
+                if den != 1:
+                    body = f"{num}/{den}*{body}" if body else f"{num}/{den}"
+                elif num != 1 or not body:
+                    body = f"{num}*{body}" if body else str(num)
+                pieces.append(body)
     except ValueError:
         raise _digit_limit_error() from None
     pieces[0] = "-" if pieces[0] == " - " else ""

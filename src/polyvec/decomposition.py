@@ -55,7 +55,7 @@ def _wedge_scaled(scalar, u, v):
     """scalar * (u /\\ v), scaling the operand with fewer terms."""
     if not scalar or u.is_zero() or v.is_zero():
         return PolyVectorField.zero(u.dim)
-    if len(u.nums) <= len(v.nums):
+    if sum(map(len, u.nums.values())) <= sum(map(len, v.nums.values())):
         return wedge(u.scale(scalar), v)
     return wedge(u, v.scale(scalar))
 

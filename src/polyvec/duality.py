@@ -15,9 +15,7 @@ from .fields import (
     _MASK,
     PolyVectorField,
     _add_products,
-    _by_indices,
     _derivative_buckets,
-    _flattened,
     _shift,
     _SparseTerms,
     _sort_with_sign,
@@ -41,8 +39,8 @@ class VolumeConvention:
 
 class PolyDifferentialForm(_SparseTerms):
     """Differential form with polynomial coefficients, stored like a field:
-    (packed exponents, strictly increasing covariant index tuple) -> integer
-    numerator over one denominator.
+    strictly increasing covariant index tuple -> (packed exponents ->
+    integer numerator) over one denominator.
     """
 
     __slots__ = ()
@@ -52,7 +50,7 @@ class PolyDifferentialForm(_SparseTerms):
     _overlong_raises = True
 
     def form_degrees(self):
-        return {len(idx) for _, idx in self.nums}
+        return set(map(len, self.nums))
 
 
 def wedge_forms(a, b):
@@ -70,11 +68,12 @@ def _complement(idx, n):
 
 def to_form(u):
     """Duality against the volume form: an l-vector becomes an (n-l)-form via
-    Psi(U)(W) = Psi(U /\\ W).  Linear and invertible."""
+    Psi(U)(W) = Psi(U /\\ W).  Linear and invertible.  The complement is
+    taken once per index group."""
     nums = {}
-    for (exp, idx), c in u.nums.items():
+    for idx, group in u.nums.items():
         sign, comp = _complement(idx, u.dim)
-        nums[(exp, comp)] = c if sign > 0 else -c
+        nums[comp] = dict(group) if sign > 0 else {p: -c for p, c in group.items()}
     return PolyDifferentialForm._wrap(u.dim, nums, u.den)
 
 
@@ -83,11 +82,11 @@ def from_form(omega):
     complement J with the sign of (J, K), which differs from that of (K, J)
     by (-1)^(|J| |K|)."""
     nums = {}
-    for (exp, idx), c in omega.nums.items():
+    for idx, group in omega.nums.items():
         sign, comp = _complement(idx, omega.dim)
         if len(idx) * len(comp) % 2:
             sign = -sign
-        nums[(exp, comp)] = c if sign > 0 else -c
+        nums[comp] = dict(group) if sign > 0 else {p: -c for p, c in group.items()}
     return PolyVectorField._wrap(omega.dim, nums, omega.den)
 
 
@@ -103,9 +102,9 @@ def exterior_derivative(omega):
             if merged is None:
                 continue
             sign, new_idx = merged
+            sums = totals.setdefault(new_idx, {})
             for packed, c in derivatives:
-                key = (packed, new_idx)
-                totals[key] = totals.get(key, 0) + sign * c
+                sums[packed] = sums.get(packed, 0) + sign * c
     return PolyDifferentialForm._reduced(omega.dim, totals, omega.den)
 
 
@@ -115,18 +114,17 @@ def interior_product(x, omega):
     the sign (-1)^t, once per index tuple and slot."""
     if x.dim != omega.dim:
         raise DimensionError(f"dimension mismatch: {x.dim} vs {omega.dim}")
-    components = _by_indices(x.nums)
-    if any(len(idx) != 1 for idx in components):
+    if any(len(idx) != 1 for idx in x.nums):
         raise DimensionError("interior product needs a vector field")
     grouped = {}
-    for idx, terms in _by_indices(omega.nums).items():
+    for idx, terms in omega.nums.items():
         for t, j in enumerate(idx):
-            comp = components.get((j,))
+            comp = x.nums.get((j,))
             if comp is None:
                 continue
             sums = grouped.setdefault(idx[:t] + idx[t + 1:], {})
-            _add_products(sums, terms, comp, t % 2)
-    return PolyDifferentialForm._reduced(omega.dim, _flattened(grouped), x.den * omega.den)
+            _add_products(sums, terms.items(), comp.items(), t % 2)
+    return PolyDifferentialForm._reduced(omega.dim, grouped, x.den * omega.den)
 
 
 def lie_derivative_form(x, omega):
@@ -146,16 +144,17 @@ def trace_d(u):
     """
     dim = u.dim
     totals = {}
-    for (packed, idx), c in u.nums.items():
+    for idx, group in u.nums.items():
         ell = len(idx)
         for t, j in enumerate(idx):
             shift = _shift(dim, j - 1)
-            e = packed >> shift & _MASK
-            if not e:
-                continue
-            key = (packed - (1 << shift) - 1, idx[:t] + idx[t + 1:])
-            value = e * c
-            totals[key] = totals.get(key, 0) + (-value if (ell - 1 - t) % 2 else value)
+            sign = -1 if (ell - 1 - t) % 2 else 1
+            sums = totals.setdefault(idx[:t] + idx[t + 1:], {})
+            for packed, c in group.items():
+                e = packed >> shift & _MASK
+                if e:
+                    key = packed - (1 << shift) - 1
+                    sums[key] = sums.get(key, 0) + sign * e * c
     return PolyVectorField._reduced(dim, totals, u.den)
 
 

@@ -16,19 +16,20 @@ covariant indices is a differential form (``duality.PolyDifferentialForm``)
 and with no indices a polynomial, so all three share one sparse core,
 ``_SparseTerms``.
 
-A key of ``nums`` is ``(packed, indices)``: the exponent tuple is packed into
-one ``int`` of n + 1 fields of ``_W`` = 16 bits (the packed exponent vectors
-of Monagan and Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).  x_1 sits in the most significant
-field and x_n in the one above the least significant, which holds the total
-degree, so integer order is tuple order and the degree is ``packed & _MASK``.
+``nums`` maps each index tuple to its nonempty group ``{packed: numerator}``:
+the exponent tuple is packed into one ``int`` of n + 1 fields of ``_W`` = 16
+bits (the packed exponent vectors of Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  x_1 sits in the most significant field and x_n in the one above the
+least significant, which holds the total degree, so integer order is tuple
+order and the degree is ``packed & _MASK``.
 Every stored key has total degree below ``_DEGREE_TOP`` = 2^15: the sum of
 two keys is the key of the product of their monomials with no carry between
 fields, and d/dx_m subtracts the key of x_m.  A degree past the bound raises
-``DegreeLimitError``: the constructor checks each key, and each kernel that
-adds keys checks the degree field of each result key through
-``_check_degrees``.  ``_packer`` and ``_unpack`` are the only conversions
-between tuples and packed keys.
+``DegreeLimitError``: the constructor checks each key, and ``_normalised``
+checks the degree field of each key of a result through ``_check_degrees``.
+``_packer`` and ``_unpack`` are the only conversions between tuples and
+packed keys.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
@@ -172,17 +173,6 @@ def _unit(n, m):
     return tuple(1 if t == m else 0 for t in range(n))
 
 
-def _by_indices(nums):
-    """The terms ``(packed, numerator)`` of ``nums`` grouped by index tuple."""
-    groups = {}
-    for (packed, idx), c in nums.items():
-        group = groups.get(idx)
-        if group is None:
-            group = groups[idx] = []
-        group.append((packed, c))
-    return groups
-
-
 def _check_degrees(keys):
     """Raise ``DegreeLimitError`` for the first packed key of ``keys``
     whose degree field reached ``_DEGREE_TOP``.  Each is the sum of two
@@ -193,14 +183,6 @@ def _check_degrees(keys):
             raise DegreeLimitError(
                 f"a result has a term of degree {packed & _MASK}, past the limit of "
                 f"{_DEGREE_TOP - 1}")
-
-
-def _flattened(grouped):
-    """The nonzero kernel totals ``{indices: {packed: total}}`` keyed
-    ``(packed, indices)``, after ``_check_degrees`` of their packed keys."""
-    totals = {(p, idx): t for idx, sums in grouped.items() for p, t in sums.items() if t}
-    _check_degrees(p for p, _ in totals)
-    return totals
 
 
 def _add_products(sums, left, right, negate):
@@ -216,24 +198,32 @@ def _add_products(sums, left, right, negate):
             sums[key] = sums.get(key, 0) + ca * cb
 
 
-def _normalised(totals, den):
-    """``(nums, den)`` for integer ``totals`` over ``den`` > 0: zero totals
-    drop out and the factor common to the denominator and all numerators is
-    divided out.  The result is the unique stored form of the value."""
-    nums = {key: t for key, t in totals.items() if t}
-    if den != 1:
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            den //= g
-            nums = {key: t // g for key, t in nums.items()}
+def _normalised(grouped, den):
+    """``(nums, den)`` for integer totals ``{indices: {packed: total}}`` over
+    ``den`` > 0: zero totals and empty groups drop out, the keys that remain
+    go through ``_check_degrees``, and the factor common to the denominator
+    and all numerators is divided out.  The result is the unique stored form
+    of the value."""
+    nums = {}
+    g = den
+    for idx, sums in grouped.items():
+        group = {p: t for p, t in sums.items() if t}
+        if group:
+            _check_degrees(group)
+            nums[idx] = group
+            if g != 1:
+                g = math.gcd(g, *group.values())
+    if g != 1:
+        den //= g
+        nums = {idx: {p: t // g for p, t in group.items()} for idx, group in nums.items()}
     return nums, den
 
 
 class _SparseTerms:
     """A finitely supported map (exponents, strictly increasing indices) ->
-    nonzero rational on R^dim, stored as integer numerators ``nums``, keyed
-    by ``(packed exponents, indices)``, over one positive denominator ``den``
-    that shares no factor with all of them.
+    nonzero rational on R^dim, stored as integer numerators ``nums``,
+    ``{indices: {packed exponents: numerator}}`` with no empty group, over
+    one positive denominator ``den`` that shares no factor with all of them.
 
     This is the one place where the representation is decided: validation
     and canonicalisation, normalisation, arithmetic, equality and the wedge
@@ -274,24 +264,27 @@ class _SparseTerms:
                 continue
             sign, idx = _sort_with_sign(idx)
             if sign:
-                signed.append(((packed, idx), sign, coeff))
-        den = math.lcm(*(c.denominator for _, _, c in signed))
-        totals = {}
-        for key, sign, c in signed:
-            totals[key] = totals.get(key, 0) + sign * c.numerator * (den // c.denominator)
-        _store(self, dim, *_normalised(totals, den))
+                signed.append((idx, packed, sign, coeff))
+        den = math.lcm(*(c.denominator for _, _, _, c in signed))
+        grouped = {}
+        for idx, packed, sign, c in signed:
+            sums = grouped.get(idx)
+            if sums is None:
+                sums = grouped[idx] = {}
+            sums[packed] = sums.get(packed, 0) + sign * c.numerator * (den // c.denominator)
+        _store(self, dim, *_normalised(grouped, den))
 
     @classmethod
     def _wrap(cls, dim, nums, den):
-        """Wrap nonzero integer numerators over ``den`` > 0 that are already
-        normalised; the dict is taken over, not copied."""
+        """Wrap grouped nonzero integer numerators over ``den`` > 0 that are
+        already normalised; the dicts are taken over, not copied."""
         out = object.__new__(cls)
         _store(out, dim, nums, den)
         return out
 
     @classmethod
     def _reduced(cls, dim, totals, den):
-        """The value of integer ``totals`` over ``den`` > 0, normalised."""
+        """The value of grouped integer ``totals`` over ``den`` > 0, normalised."""
         return cls._wrap(dim, *_normalised(totals, den))
 
     @property
@@ -300,7 +293,7 @@ class _SparseTerms:
         afresh on each read: changing it changes no value."""
         dim, den = self.dim, self.den
         return {(_unpack(dim, packed), idx): Fraction(c, den)
-                for (packed, idx), c in self.nums.items()}
+                for idx, group in self.nums.items() for packed, c in group.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -320,9 +313,12 @@ class _SparseTerms:
         da, db = self.den, other.den
         den = da if da == db else math.lcm(da, db)
         fa, fb = den // da, sign * (den // db)
-        totals = dict(self.nums) if fa == 1 else {k: c * fa for k, c in self.nums.items()}
-        for key, c in other.nums.items():
-            totals[key] = totals.get(key, 0) + c * fb
+        totals = ({idx: dict(group) for idx, group in self.nums.items()} if fa == 1 else
+                  {idx: {p: c * fa for p, c in group.items()} for idx, group in self.nums.items()})
+        for idx, group in other.nums.items():
+            sums = totals.setdefault(idx, {})
+            for p, c in group.items():
+                sums[p] = sums.get(p, 0) + c * fb
         return self._reduced(self.dim, totals, den)
 
     def __add__(self, other):
@@ -332,12 +328,14 @@ class _SparseTerms:
         return self._combined(other, -1)
 
     def __neg__(self):
-        return self._wrap(self.dim, {k: -c for k, c in self.nums.items()}, self.den)
+        return self._wrap(self.dim, {idx: {p: -c for p, c in group.items()}
+                                     for idx, group in self.nums.items()}, self.den)
 
     def scale(self, c):
         c = _frac(c)
         p = c.numerator
-        return self._reduced(self.dim, {k: v * p for k, v in self.nums.items()} if p else {},
+        return self._reduced(self.dim, {idx: {k: v * p for k, v in group.items()}
+                                        for idx, group in self.nums.items()},
                              self.den * c.denominator)
 
     def __rmul__(self, c):
@@ -348,7 +346,8 @@ class _SparseTerms:
                 and self.den == other.den and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.dim, self.den, frozenset(self.nums.items())))
+        return hash((self.dim, self.den, frozenset(
+            (idx, frozenset(group.items())) for idx, group in self.nums.items())))
 
     def is_zero(self):
         return not self.nums
@@ -358,26 +357,23 @@ class _SparseTerms:
         alike: exponents add, index tuples shuffle-merge with their sign and
         a shared index kills the pair.  The result has the type of ``self``.
 
-        It works on the integer numerators of both operands grouped by index
-        tuple: ``merge_indices`` runs once per pair of index tuples, the
+        It works on the integer numerators of both operands, group by group:
+        ``merge_indices`` runs once per pair of index tuples, the
         packed keys of each pair of terms add with one ``+``, and the totals
         over the product of the two denominators are normalised once at the
         end.
         """
         self._check_dim(other)
         grouped = {}
-        right = _by_indices(other.nums)
-        for ia, left in _by_indices(self.nums).items():
-            for ib, terms in right.items():
+        for ia, left in self.nums.items():
+            for ib, right in other.nums.items():
                 merged = merge_indices(ia, ib)
                 if merged is None:
                     continue
                 sign, idx = merged
-                sums = grouped.get(idx)
-                if sums is None:
-                    sums = grouped[idx] = {}
-                _add_products(sums, left, terms, sign < 0)
-        return self._reduced(self.dim, _flattened(grouped), self.den * other.den)
+                sums = grouped.setdefault(idx, {})
+                _add_products(sums, left.items(), right.items(), sign < 0)
+        return self._reduced(self.dim, grouped, self.den * other.den)
 
     def __repr__(self):
         name = type(self).__name__
@@ -417,7 +413,8 @@ class PolyVectorField(_SparseTerms):
 
     def bidegrees(self):
         return {BiDegree(k, ell)
-                for k, ell in {(packed & _MASK, len(idx)) for packed, idx in self.nums}}
+                for k, ell in {(packed & _MASK, len(idx))
+                               for idx, group in self.nums.items() for packed in group}}
 
     def is_homogeneous(self):
         return len(self.bidegrees()) <= 1
@@ -430,10 +427,10 @@ class PolyVectorField(_SparseTerms):
         return next(iter(degs)) if degs else BiDegree(0, 0)
 
     def vector_degrees(self):
-        return {len(idx) for exp, idx in self.nums}
+        return set(map(len, self.nums))
 
     def max_poly_degree(self):
-        return max((packed & _MASK for packed, _ in self.nums), default=0)
+        return max((packed & _MASK for group in self.nums.values() for packed in group), default=0)
 
     def wedge(self, other):
         return wedge(self, other)
@@ -470,7 +467,8 @@ def wedge(u, v):
 
 
 def _derivative_buckets(dim, nums):
-    """Bucket integer terms by the variables their monomials contain.
+    """Bucket the integer terms of the stored groups ``nums`` by the
+    variables their monomials contain.
 
     ``buckets[j]`` maps each index tuple to d/dx_j of the terms with those
     indices whose exponent e of x_j is positive, as ``(packed key minus
@@ -479,30 +477,30 @@ def _derivative_buckets(dim, nums):
     visited, lowest first.
     """
     buckets = {}
-    for (packed, idx), c in nums.items():
-        fields = packed >> _W
-        while fields:
-            shift = _lowest_field(fields)
-            e = fields >> shift & _MASK
-            fields ^= e << shift
-            j = dim - shift // _W
-            bucket = buckets.get(j)
-            if bucket is None:
-                bucket = buckets[j] = {}
-            group = bucket.get(idx)
-            if group is None:
-                group = bucket[idx] = []
-            group.append((packed - (1 << shift + _W) - 1, e * c))
+    for idx, terms in nums.items():
+        for packed, c in terms.items():
+            fields = packed >> _W
+            while fields:
+                shift = _lowest_field(fields)
+                e = fields >> shift & _MASK
+                fields ^= e << shift
+                j = dim - shift // _W
+                bucket = buckets.get(j)
+                if bucket is None:
+                    bucket = buckets[j] = {}
+                group = bucket.get(idx)
+                if group is None:
+                    group = bucket[idx] = []
+                group.append((packed - (1 << shift + _W) - 1, e * c))
     return buckets
 
 
 def _slot_derivatives(grouped, groups, buckets, twist):
     """Accumulate into ``grouped`` (totals ``{indices: {packed: total}}``)
-    the half of the Schouten bracket in which the partial slots of the terms
-    ``groups`` (grouped by index tuple) differentiate the coefficients
-    bucketed in ``buckets``: each slot d_j at position t of an index tuple
-    of length p contributes (-1)^(p-1-t) * (slot-free indices) /\\ (the
-    other indices).
+    the half of the Schouten bracket in which the partial slots of the stored
+    groups ``groups`` differentiate the coefficients bucketed in ``buckets``:
+    each slot d_j at position t of an index tuple of length p contributes
+    (-1)^(p-1-t) * (slot-free indices) /\\ (the other indices).
 
     With ``twist`` each contribution is multiplied by -(-1)^((p-1)(q-1)),
     p and q the two vector degrees: the sign that turns the half with the
@@ -526,10 +524,8 @@ def _slot_derivatives(grouped, groups, buckets, twist):
                     sign = -sign
                 if twist and (p - 1) * (len(ib) - 1) % 2 == 0:
                     sign = -sign
-                sums = grouped.get(idx)
-                if sums is None:
-                    sums = grouped[idx] = {}
-                _add_products(sums, terms, derivatives, sign < 0)
+                sums = grouped.setdefault(idx, {})
+                _add_products(sums, terms.items(), derivatives, sign < 0)
 
 
 def schouten(u, v):
@@ -547,15 +543,15 @@ def schouten(u, v):
     """
     u._check_dim(v)
     grouped = {}
-    _slot_derivatives(grouped, _by_indices(u.nums), _derivative_buckets(u.dim, v.nums), False)
-    _slot_derivatives(grouped, _by_indices(v.nums), _derivative_buckets(u.dim, u.nums), True)
-    return PolyVectorField._reduced(u.dim, _flattened(grouped), u.den * v.den)
+    _slot_derivatives(grouped, u.nums, _derivative_buckets(u.dim, v.nums), False)
+    _slot_derivatives(grouped, v.nums, _derivative_buckets(u.dim, u.nums), True)
+    return PolyVectorField._reduced(u.dim, grouped, u.den * v.den)
 
 
 def radial_field(n):
     """The radial vector field e0 = x^m d_m."""
     return PolyVectorField._wrap(
-        n, {((1 << _shift(n, m)) + 1, (m + 1,)): 1 for m in range(n)}, 1)
+        n, {(m + 1,): {(1 << _shift(n, m)) + 1: 1} for m in range(n)}, 1)
 
 
 def euler(n, k, ell):
@@ -574,8 +570,9 @@ def homogeneous_components(u):
     zero field yields the empty mapping.
     """
     buckets = {}
-    for (packed, idx), c in u.nums.items():
-        buckets.setdefault((packed & _MASK, len(idx)), {})[(packed, idx)] = c
+    for idx, group in u.nums.items():
+        for packed, c in group.items():
+            buckets.setdefault((packed & _MASK, len(idx)), {}).setdefault(idx, {})[packed] = c
     return {BiDegree(*deg): PolyVectorField._reduced(u.dim, nums, u.den)
             for deg, nums in buckets.items()}
 
@@ -734,19 +731,21 @@ def pushforward(l_matrix, u):
     # each (k, l) component carries det^(l-1) / (d_rows^k d_inv^l), put
     # over the common denominator ``common`` of all components present
     weights = {deg: det ** (deg[1] - 1) / (d_rows ** deg[0] * d_inv ** deg[1])
-               for deg in {(packed & _MASK, len(idx)) for packed, idx in u.nums}}
+               for deg in {(packed & _MASK, len(idx))
+                           for idx, group in u.nums.items() for packed in group}}
     common = math.lcm(*(w.denominator for w in weights.values()))
     weights = {deg: w.numerator * (common // w.denominator) for deg, w in weights.items()}
     totals = {}
-    for (packed, idx), c in u.nums.items():
-        poly = _memoised_product(packed, monomials, last_coordinate, times_coordinate)
+    for idx, group in u.nums.items():
         vector = _memoised_product(idx, wedges, last_partial, times_partial)
-        c *= weights[packed & _MASK, len(idx)]
-        for mono, pc in poly.items():
-            pc *= c
+        for packed, c in group.items():
+            poly = _memoised_product(packed, monomials, last_coordinate, times_coordinate)
+            c *= weights[packed & _MASK, len(idx)]
             for ind, vc in vector.items():
-                key = (mono, ind)
-                totals[key] = totals.get(key, 0) + pc * vc
+                vc *= c
+                sums = totals.setdefault(ind, {})
+                for mono, pc in poly.items():
+                    sums[mono] = sums.get(mono, 0) + pc * vc
     return PolyVectorField._reduced(n, totals, u.den * common)
 
 
@@ -784,7 +783,7 @@ def skew_component(u, lower, upper):
     if slot is None:
         return Fraction(0)
     sign, (exp, idx), fact = slot
-    coeff = u.nums.get((_packer(u.dim)(exp), idx))
+    coeff = u.nums.get(idx, {}).get(_packer(u.dim)(exp))
     return Fraction(0) if coeff is None else Fraction(sign * fact * coeff, u.den)
 
 

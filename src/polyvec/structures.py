@@ -21,7 +21,6 @@ from .errors import (
 from .fields import (
     PolyVectorField,
     _add_products,
-    _by_indices,
     _check_degrees,
     _frac,
     _unpack,
@@ -180,16 +179,16 @@ def generic_rank(p):
     ``_scaled_point_values``, a further positive multiple.  A positive
     scalar changes no pivot column and no Pfaffian's vanishing, so S, the
     Pfaffians' zero tests and the rank are those of M itself, and the
-    Pfaffians stay integer polynomials: each upper entry is the dict
-    ``{packed: numerator}`` of its terms, a 2-row block is its entry, and
-    ``_pfaffian`` expands a larger one into such a dict of integer totals
-    through the product loop ``_add_products``, with the degree-field check
-    at each level and no field built on the way.
+    Pfaffians stay integer polynomials: each upper entry is the stored
+    group ``{packed: numerator}`` of its index pair, a 2-row block is its
+    entry, and ``_pfaffian`` expands a larger one into such a dict of
+    integer totals through the product loop ``_add_products``, with the
+    degree-field check at each level and no field built on the way.
     """
     for ell in p.vector_degrees():
         if ell != 2:
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
-    upper = {ij: dict(terms) for ij, terms in _by_indices(p.nums).items()}
+    upper = p.nums
     values = _scaled_point_values(p)
     support = sorted({i for ij in upper for i in ij})
     at_point = [[values.get((i, j), 0) if i < j else -values.get((j, i), 0)
@@ -222,7 +221,8 @@ def _scaled_point_values(p):
     term, quadratic in n: a 99-term bi-vector at n = 10,000 took 4 s that
     way."""
     n = p.dim
-    monomials = {packed: _unpack(n, packed) for packed in {packed for packed, _ in p.nums}}
+    monomials = {packed: _unpack(n, packed)
+                 for packed in {packed for group in p.nums.values() for packed in group}}
     tables = []
     for m, column in enumerate(zip(*monomials.values())):
         t = max(column)
@@ -234,10 +234,8 @@ def _scaled_point_values(p):
         for m, table in tables:
             value *= table[exp[m]]
         monomials[packed] = value
-    values = {}
-    for (packed, ij), c in p.nums.items():
-        values[ij] = values.get(ij, 0) + c * monomials[packed]
-    return values
+    return {ij: sum(c * monomials[packed] for packed, c in group.items())
+            for ij, group in p.nums.items()}
 
 
 def _pfaffian(rows, upper, memo):
@@ -250,7 +248,7 @@ def _pfaffian(rows, upper, memo):
     with its sign, straight into one totals dict through
     ``_add_products``, the keys adding with one ``+``.  Every key of the
     totals, a cancelled one too, then goes through ``_check_degrees``,
-    which ``_flattened`` runs on nonzero totals only: a product of two
+    which ``_normalised`` runs on nonzero totals only: a product of two
     nonzero polynomials keeps its top-degree term, so this raises
     ``DegreeLimitError`` exactly when a product of the expansion reaches
     ``_DEGREE_TOP``, and every stored key, like every entry key, stays

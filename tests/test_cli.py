@@ -92,7 +92,8 @@ def test_parsing_integer_coefficients_builds_no_fraction():
         field = cli.parse_field(text, 2)
     finally:
         Fraction.__new__ = staticmethod(original)
-    assert len(field.nums) == 200 and field.den == 1
+    assert {idx: len(group) for idx, group in field.nums.items()} == {(1,): 100, (2,): 100}
+    assert field.den == 1
     assert tuple_nums(field)[(9, 9), (2,)] == 100
     assert built == []
 

@@ -96,10 +96,12 @@ def test_schouten_is_graded_antisymmetric(pair):
 
 
 def is_normalised(value):
-    """The stored form: a positive denominator, nonzero numerators, and no
-    factor common to the denominator and all numerators (so zero is over 1)."""
-    return (value.den > 0 and all(value.nums.values())
-            and math.gcd(value.den, *value.nums.values()) == 1)
+    """The stored form: a positive denominator, no empty index group, nonzero
+    numerators, and no factor common to the denominator and all numerators
+    (so zero is over 1)."""
+    numerators = [c for group in value.nums.values() for c in group.values()]
+    return (value.den > 0 and all(value.nums.values()) and all(numerators)
+            and math.gcd(value.den, *numerators) == 1)
 
 
 def fraction_sum(a, b, sign):
@@ -133,6 +135,8 @@ def test_kernel_results_are_normalised_and_match_fraction_oracles(pair):
         rebuilt = type(value)(value.dim, value.terms)
         assert rebuilt == value and hash(rebuilt) == hash(value)
         assert (rebuilt.den, rebuilt.nums) == (value.den, value.nums)
+    for value, other in ((u + v, v + u), ((u - v) + v, u)):
+        assert value == other and hash(value) == hash(other)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

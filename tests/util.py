@@ -28,7 +28,7 @@ from polyvec.classifier import (
 from polyvec.cli import _VAR_ALIASES, MAX_DEGREE, ExpressionAST, _digit_limit_error
 from polyvec.duality import exterior_derivative
 from polyvec.errors import DimensionError, ParseError, PolyvecError
-from polyvec.fields import _by_indices, _sort_with_sign, merge_indices
+from polyvec.fields import _sort_with_sign, merge_indices
 
 
 def _frac(x):
@@ -156,8 +156,10 @@ def pfaffian_by_wedges(n, rows, upper, memo):
         if entry is None:
             continue
         minor = pfaffian_by_wedges(n, rows[1:t] + rows[t + 1:], upper, memo)
-        for key, c in entry._wedge(minor).nums.items():
-            totals[key] = totals.get(key, 0) + (c if t % 2 else -c)
+        for idx, group in entry._wedge(minor).nums.items():
+            sums = totals.setdefault(idx, {})
+            for packed, c in group.items():
+                sums[packed] = sums.get(packed, 0) + (c if t % 2 else -c)
     found = memo[rows] = PolyVectorField._reduced(n, totals, 1)
     return found
 
@@ -167,9 +169,8 @@ def wedge_entries(p):
     of its numerators, and the memo holding the constant 1: the inputs of
     ``pfaffian_by_wedges`` as the library built them."""
     n = p.dim
-    upper = {ij: PolyVectorField._wrap(n, {(packed, ()): c for packed, c in terms}, 1)
-             for ij, terms in _by_indices(p.nums).items()}
-    return upper, {(): PolyVectorField._wrap(n, {(0, ()): 1}, 1)}
+    upper = {ij: PolyVectorField._wrap(n, {(): dict(group)}, 1) for ij, group in p.nums.items()}
+    return upper, {(): PolyVectorField._wrap(n, {(): {0: 1}}, 1)}
 
 
 def _diff_monomial(exp, m):
@@ -891,8 +892,9 @@ def operator_kernel_by_basis(basis, operator):
     for j, b in enumerate(basis):
         image = operator(b)
         den = image.den
-        for key, c in image.nums.items():
-            rows.setdefault(key, []).append((j, c, den))
+        for idx, group in image.nums.items():
+            for packed, c in group.items():
+                rows.setdefault((packed, idx), []).append((j, c, den))
     matrix = []
     for entries in rows.values():
         common = lcm(*(den for _, _, den in entries))
