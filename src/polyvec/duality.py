@@ -15,6 +15,7 @@ from .fields import (
     _MASK,
     PolyVectorField,
     _add_products,
+    _check_dim,
     _derivative_buckets,
     _shift,
     _SparseTerms,
@@ -112,8 +113,7 @@ def interior_product(x, omega):
     """Contraction of a polynomial vector field into a form: the slot dx_j
     at position t of an index tuple meets the d_j component of ``x`` with
     the sign (-1)^t, once per index tuple and slot."""
-    if x.dim != omega.dim:
-        raise DimensionError(f"dimension mismatch: {x.dim} vs {omega.dim}")
+    _check_dim(x, omega)
     if any(len(idx) != 1 for idx in x.nums):
         raise DimensionError("interior product needs a vector field")
     grouped = {}

@@ -37,9 +37,9 @@ radial fields and the action of linear diffeomorphisms.  The constructor
 and each kernel accumulate integer numerators and divide out the common
 factor of the result once, through ``_normalised``.  ``_add_products`` is
 the one loop that multiplies packed terms: the wedge, the Schouten bracket,
-``duality.interior_product``, the coordinate products of ``pushforward``,
-the bordered Pfaffians of ``structures.generic_rank`` and the quartic
-pairing of the dim-4 catalog all multiply through it.  The terms that a
+``duality.interior_product``, ``pushforward`` once per index group, the
+bordered Pfaffians of ``structures.generic_rank`` and the quartic pairing
+of the dim-4 catalog all multiply through it.  The terms that a
 product differentiates come from ``_derivative_buckets``, which the
 Schouten bracket and ``duality.exterior_derivative`` read.
 """
@@ -185,6 +185,12 @@ def _check_degrees(keys):
                 f"{_DEGREE_TOP - 1}")
 
 
+def _check_dim(a, b):
+    """Raise ``DimensionError`` unless ``a`` and ``b`` have one ``dim``."""
+    if a.dim != b.dim:
+        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
 def _add_products(sums, left, right, negate):
     """Add into ``sums`` (``{packed: integer}``) the product of the terms
     ``left`` and ``right``, each an iterable of ``(packed, integer)``:
@@ -302,10 +308,7 @@ class _SparseTerms:
     def zero(cls, dim):
         return cls(dim, {})
 
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise DimensionError(
-                f"dimension mismatch: {self.dim} vs {other.dim}")
+    _check_dim = _check_dim
 
     def _combined(self, other, sign):
         """``self + sign * other`` over the lcm of the two denominators."""
@@ -630,8 +633,7 @@ class LinearMatrix:
         return LinearMatrix(inv)
 
     def matmul(self, other):
-        if self.dim != other.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        _check_dim(self, other)
         return LinearMatrix(linalg.mat_mul(
             [list(r) for r in self.entries], [list(r) for r in other.entries]))
 
@@ -655,22 +657,6 @@ def _integer_rows(entries):
     return [[x.numerator * (d // x.denominator) for x in row] for row in entries], d
 
 
-def _memoised_product(key, memo, factor_of, times):
-    """The product for ``key`` in ``memo``, built one factor at a time from
-    its longest product already there: ``factor_of(key)`` gives
-    ``(shorter key, factor)`` and ``times(product, factor)`` multiplies.
-    Every product on the way is kept, so shared factors expand once."""
-    chain = []
-    while key not in memo:
-        shorter, factor = factor_of(key)
-        chain.append((key, factor))
-        key = shorter
-    product = memo[key]
-    for key, factor in reversed(chain):
-        product = memo[key] = times(product, factor)
-    return product
-
-
 def pushforward(l_matrix, u):
     """Action of the invertible linear map L on a poly-vector field.
 
@@ -684,15 +670,15 @@ def pushforward(l_matrix, u):
     L_*(U /\\ V) = det(L) * (L_*U /\\ L_*V), while the Schouten bracket is
     preserved verbatim.
 
-    L and L^-1 go over their common denominators once.  Each distinct
-    monomial's product of coordinate images and each distinct partial
-    tuple's wedge of partial images expands once in integers, memoised for
-    the call, and each term adds the integer outer product of the two.  The
-    monomials are packed keys throughout: multiplying by x_t adds the key of
-    x_t.
+    L and L^-1 go over their common denominators once, and the work is done
+    once per index group.  Each term adds its weighted monomial image into
+    the group's one coefficient polynomial; the partial images of the
+    group's indices fold into one wedge; and each entry of that wedge adds
+    its multiple of the coefficient into the totals.  Monomial images are
+    expanded in integers and kept for the call, each built from its longest
+    prefix already expanded; multiplying by x_t adds the packed key of x_t.
     """
-    if l_matrix.dim != u.dim:
-        raise DimensionError(f"dimension mismatch: {l_matrix.dim} vs {u.dim}")
+    _check_dim(l_matrix, u)
     n = u.dim
     det = l_matrix.det()
     if not det:
@@ -704,30 +690,24 @@ def pushforward(l_matrix, u):
     units = [(1 << _shift(n, t)) + 1 for t in range(n)]
     coordinates = [[(units[t], v) for t, v in enumerate(row) if v] for row in rows]
     partials = [[(i + 1, inv[i][j]) for i in range(n) if inv[i][j]] for j in range(n)]
+    images = {0: {0: 1}}
 
-    def last_coordinate(key):
-        m = n - 1 - _lowest_field(key >> _W) // _W
-        return key - units[m], coordinates[m]
+    def image(packed):
+        """The integer image of the monomial ``packed``, one coordinate
+        factor at a time from its longest prefix in ``images``, keeping
+        every product on the way."""
+        chain = []
+        while packed not in images:
+            m = n - 1 - _lowest_field(packed >> _W) // _W
+            chain.append((packed, coordinates[m]))
+            packed -= units[m]
+        poly = images[packed]
+        for packed, factor in reversed(chain):
+            out = {}
+            _add_products(out, poly.items(), factor, False)
+            poly = images[packed] = {key: c for key, c in out.items() if c}
+        return poly
 
-    def times_coordinate(poly, factor):
-        out = {}
-        _add_products(out, poly.items(), factor, False)
-        return {key: c for key, c in out.items() if c}
-
-    def last_partial(idx):
-        return idx[:-1], partials[idx[-1] - 1]
-
-    def times_partial(vector, factor):
-        out = {}
-        for idx, c in vector.items():
-            for i, v in factor:
-                merged = merge_indices(idx, (i,))
-                if merged is not None:
-                    key = merged[1]
-                    out[key] = out.get(key, 0) + (c * v if merged[0] > 0 else -c * v)
-        return {key: c for key, c in out.items() if c}
-
-    monomials, wedges = {0: {0: 1}}, {(): {(): 1}}
     # each (k, l) component carries det^(l-1) / (d_rows^k d_inv^l), put
     # over the common denominator ``common`` of all components present
     weights = {deg: det ** (deg[1] - 1) / (d_rows ** deg[0] * d_inv ** deg[1])
@@ -737,15 +717,24 @@ def pushforward(l_matrix, u):
     weights = {deg: w.numerator * (common // w.denominator) for deg, w in weights.items()}
     totals = {}
     for idx, group in u.nums.items():
-        vector = _memoised_product(idx, wedges, last_partial, times_partial)
+        ell = len(idx)
+        coefficient = {}
         for packed, c in group.items():
-            poly = _memoised_product(packed, monomials, last_coordinate, times_coordinate)
-            c *= weights[packed & _MASK, len(idx)]
-            for ind, vc in vector.items():
-                vc *= c
-                sums = totals.setdefault(ind, {})
-                for mono, pc in poly.items():
-                    sums[mono] = sums.get(mono, 0) + pc * vc
+            _add_products(coefficient, ((0, c * weights[packed & _MASK, ell]),),
+                          image(packed).items(), False)
+        vector = {(): 1}
+        for j in idx:
+            folded = {}
+            for ind, c in vector.items():
+                for i, v in partials[j - 1]:
+                    merged = merge_indices(ind, (i,))
+                    if merged is not None:
+                        sign, key = merged
+                        folded[key] = folded.get(key, 0) + sign * c * v
+            vector = folded
+        for ind, c in vector.items():
+            if c:
+                _add_products(totals.setdefault(ind, {}), ((0, c),), coefficient.items(), False)
     return PolyVectorField._reduced(n, totals, u.den * common)
 
 

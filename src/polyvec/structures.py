@@ -22,6 +22,7 @@ from .fields import (
     PolyVectorField,
     _add_products,
     _check_degrees,
+    _check_dim,
     _frac,
     _unpack,
     euler,
@@ -39,9 +40,7 @@ class JacobiPair:
     __slots__ = ("lam", "e_field")
 
     def __init__(self, lam, e_field):
-        if lam.dim != e_field.dim:
-            raise DimensionError(
-                f"dimension mismatch: {lam.dim} vs {e_field.dim}")
+        _check_dim(lam, e_field)
         lam_degs = lam.vector_degrees()
         if len(lam_degs) > 1:
             raise ParityError("the even member must have a single vector degree")
@@ -74,7 +73,8 @@ class RMatrix:
     E_ij /\\ E_ij drops out.  Coefficients are exact rationals and unit
     indices integers; a float in either raises ``TypeError``.  Every key is
     checked, also one whose coefficient is zero.  ``coefficients`` is a
-    read-only view, so no write can bypass these checks.
+    read-only view, so no write can bypass these checks.  Two elements are
+    equal, and hash equal, when their ``dim`` and ``coefficients`` are.
     """
 
     __slots__ = ("dim", "coefficients")
@@ -102,6 +102,13 @@ class RMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("RMatrix is immutable")
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.dim == other.dim
+                and self.coefficients == other.coefficients)
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.coefficients.items())))
 
 
 def _even_degrees(p):
@@ -384,8 +391,7 @@ def are_associated(p, pair):
         P0 = L0  and  E0 = (k - 2l)/(n + k - 2l) (DL - DP).
     """
     lam = pair.lam
-    if p.dim != lam.dim:
-        raise DimensionError(f"dimension mismatch: {p.dim} vs {lam.dim}")
+    _check_dim(p, lam)
     if not p.is_zero() and not lam.is_zero() and p.bidegree() != lam.bidegree():
         raise DimensionError("structures must share the bidegree (k, 2l)")
     deg = p.bidegree() if not p.is_zero() else lam.bidegree()

@@ -8,19 +8,23 @@ from polyvec import (
     DegenerateNormalizerError,
     DimensionError,
     HomogeneityError,
+    JacobiPair,
     LinearMatrix,
     PolyDifferentialForm,
     PolyVectorField,
     RMatrix,
     SingularMatrixError,
+    are_associated,
     euler,
     from_skew_components,
     homogeneous_components,
+    interior_product,
     linear_vector_field,
     pushforward,
     radial_field,
     schouten,
     skew_component,
+    to_form,
     wedge,
 )
 from polyvec.invariants import random_nonzero, random_triples, triple_failures
@@ -144,6 +148,21 @@ def test_pushforward_singular_matrix():
 def test_matmul_of_different_sizes_raises(a, b):
     with pytest.raises(DimensionError) as info:
         LinearMatrix.identity(a).matmul(LinearMatrix.identity(b))
+    assert str(info.value) == f"dimension mismatch: {a} vs {b}"
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("check", [
+    lambda a, b: pv("d1", a) + pv("d1", b),
+    lambda a, b: pushforward(LinearMatrix.identity(a), pv("d1", b)),
+    lambda a, b: interior_product(pv("d1", a), to_form(pv("d1", b))),
+    lambda a, b: JacobiPair(pv("d1/\\d2", a), pv("d1", b)),
+    lambda a, b: are_associated(pv("d1/\\d2", a),
+                                JacobiPair(pv("d1/\\d2", b), PolyVectorField.zero(b))),
+], ids=["sum", "pushforward", "interior_product", "JacobiPair", "are_associated"])
+def test_dimension_checks_name_both_dimensions(check, a, b):
+    with pytest.raises(DimensionError) as info:
+        check(a, b)
     assert str(info.value) == f"dimension mismatch: {a} vs {b}"
 
 

@@ -290,7 +290,26 @@ def test_pushforward_transport_laws_hold_for_rational_matrices(case):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(pushforward_cases())
+@example((LinearMatrix([[1, 2, 0], ["1/2", 1, 3], [0, -1, 2]]),
+          parse_field("5*d1/\\d3 - x2*d1/\\d3 + 2*x1*x2*d1/\\d3 - 1/3*x3^3*d1/\\d3 + x2*d2", 3),
+          PolyVectorField.zero(3)))
+@example((LinearMatrix([[1, 0, 2, -1], ["1/3", 1, 0, 2], [0, -2, 1, 1], [3, 1, 0, "1/2"]]),
+          parse_field("x1^2 - 2/5*x3 + x1*x4*d1/\\d2/\\d3/\\d4 + 3*d1/\\d2/\\d3/\\d4", 4),
+          PolyVectorField.zero(4)))
+@example((LinearMatrix([[1, 1], [1, -1]]),
+          parse_field("x1^2*d1 - x2^2*d1 + d1 + d2", 2), PolyVectorField.zero(2)))
+@example((LinearMatrix([[1, "-1/2", "1/2"], ["-1/2", "1/2", "-1/2"], [-1, "1/2", 0]]),
+          parse_field("x1*d1/\\d2 - 2*x3^2*d1/\\d2 + x2*d1/\\d3 + d1/\\d2/\\d3", 3),
+          PolyVectorField.zero(3)))
 def test_pushforward_equals_wedge_chain_oracle(case):
+    """Drawn fields hold at most three terms, so an index group rarely holds
+    more than one; the examples give ``pushforward``'s per-group work:
+    one group of four terms of polynomial degrees 0 to 3 beside a second
+    group; a group with l = 0, whose weight det^-1 is a fraction, beside
+    one with l = n = 4; x1^2 - x2^2 substituting to 4*x1*x2, so the x1^2 and
+    x2^2 entries of one group's coefficient cancel to zero, as do the d2
+    totals of two groups' constants; and L^-1 = [[2, 2, 0], [4, 4, 2],
+    [2, 0, 2]], whose folded d1/\\d2 entry 2*4 - 4*2 cancels to zero."""
     l_matrix, u, _ = case
     moved = pushforward(l_matrix, u)
     assert moved == pushforward_by_wedges(l_matrix, u)

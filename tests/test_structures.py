@@ -468,6 +468,18 @@ def test_r_matrix_fixtures():
     assert r_matrix_to_bivector(r) == pv("-x1*x2*d1/\\d2", 2)
 
 
+def test_r_matrix_compares_and_hashes_by_value():
+    """One element built two ways, the second with the units swapped and the
+    sign flipped, is one value: equal and hash-equal."""
+    a = RMatrix(2, {((1, 1), (2, 2)): 1})
+    b = RMatrix(2, {((2, 2), (1, 1)): -1, ((1, 2), (1, 2)): 5})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != RMatrix(3, {((1, 1), (2, 2)): 1})
+    assert a != RMatrix(2, {((1, 1), (2, 2)): 2})
+    assert a != a.coefficients
+
+
 def test_r_matrix_refuses_float_coefficients():
     with pytest.raises(TypeError):
         RMatrix(2, {((1, 1), (2, 2)): 0.1})
