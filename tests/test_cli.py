@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -501,3 +503,74 @@ def test_catalog_document_matches_golden_bytes(golden):
     out, err = io.StringIO(), io.StringIO()
     assert run([command, "--json", "--matrix", matrix], out, err) == 0, err.getvalue()
     assert out.getvalue() == text
+
+
+CUBIC3_A12_TEXT = """\
+matrix: [['1', '0', '0'], ['0', '2', '0'], ['0', '0', '-3']]
+kernel dimension: 1
+  kernel: x^2*dy
+trace-free dimension: 1
+  tracefree: x^2*dy
+generator: -5/4*x^3*dx/\\dy - 11/4*x^2*z*dy/\\dz  [poisson=True, simple=True, rank=2]
+"""
+
+
+def test_catalog_text_output_is_pinned():
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["classify-cubic3", "--matrix", "1,0,0;0,2,0;0,0,-3", "--alias", "xyz"],
+               out, err) == 0
+    assert out.getvalue() == CUBIC3_A12_TEXT and err.getvalue() == ""
+
+
+def _expected_catalog_lines(doc):
+    """The text form of a catalog document, read field by field."""
+    yield f"matrix: {doc['matrix']!r}"
+    yield f"kernel dimension: {len(doc['kernel_basis'])}"
+    yield from (f"  kernel: {b}" for b in doc["kernel_basis"])
+    yield f"trace-free dimension: {len(doc['tracefree_basis'])}"
+    yield from (f"  tracefree: {b}" for b in doc["tracefree_basis"])
+    if doc["dim"] == 4:
+        if doc["constraints"]:
+            yield "constraints:"
+            yield from (f"  {c} = 0" for c in doc["constraints"])
+        else:
+            yield "constraints: none (identically satisfied)"
+    for g in doc["generators"]:
+        yield (f"generator: {g['expression']}  [poisson={g['poisson']}, "
+               f"simple={g['simple']}, rank={g['rank']}]")
+
+
+@pytest.mark.parametrize("golden", GOLDENS, ids=lambda path: path.stem)
+def test_catalog_text_output_matches_golden_document(golden):
+    doc = json.loads(golden.read_text())
+    command = {3: "classify-cubic3", 4: "classify-quad4"}[doc["dim"]]
+    matrix = ";".join(",".join(row) for row in doc["matrix"])
+    out, err = io.StringIO(), io.StringIO()
+    assert run([command, "--matrix", matrix], out, err) == 0, err.getvalue()
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    expected = list(_expected_catalog_lines(doc))
+    for number, (line, want) in enumerate(zip(lines, expected), 1):
+        assert line == want, f"line {number}"
+    assert len(lines) == len(expected)
+    if golden.stem == "quad4-diagonal":
+        assert "constraints: none (identically satisfied)" in lines
+    if golden.stem == "quad4-nilpotent":
+        at = lines.index("constraints:")
+        assert [line.endswith(" = 0") for line in lines[at + 1:at + 8]] == [True] * 6 + [False]
+
+
+def test_closed_stdout_exits_nonzero_without_a_traceback():
+    """A reader that closes the pipe early (``polyvec rank ... | true``) gets
+    exit status 1 and nothing on stderr."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyvec", "rank", "--dim", "4", "d1/\\d2 + d3/\\d4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
