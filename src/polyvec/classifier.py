@@ -18,17 +18,15 @@ x -> x C, i.e. as the vector field sum_ij C[i][j] x_i d_j; that convention is
 what reproduces the printed kernel bases of the catalog strata.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Optional
 
 from .errors import DimensionError, PreconditionError
 from . import linalg
 from .fields import (
-    LinearMatrix,
     PolyVectorField,
+    _Value,
     _add_products,
     _frac,
     _packer,
@@ -135,18 +133,16 @@ def _operator_kernel(cls, dim, keys, operator):
     return [_from_coordinates(cls, dim, keys, enumerate(v)) for v in vectors]
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
+class SolutionSpace(_Value):
     """An exactly computed solution space with an independent basis."""
 
-    ambient: str
-    basis: tuple
+    __slots__ = _fields = ("ambient", "basis")
 
-    def __post_init__(self):
-        _, rows = _coordinatize(self.basis)
-        if self.basis and linalg.rank(rows) != len(self.basis):
+    def __init__(self, ambient, basis):
+        _, rows = _coordinatize(basis)
+        if basis and linalg.rank(rows) != len(basis):
             raise PreconditionError("solution space basis is linearly dependent")
-        object.__setattr__(self, "basis", tuple(self.basis))
+        _Value.__init__(self, ambient, tuple(basis))
 
     @classmethod
     def _independent(cls, ambient, basis):
@@ -154,8 +150,7 @@ class SolutionSpace:
         one read off ``linalg.nullspace`` or ``linalg.rref``; the rank check
         of the public constructor is skipped."""
         out = object.__new__(cls)
-        object.__setattr__(out, "ambient", ambient)
-        object.__setattr__(out, "basis", tuple(basis))
+        _Value.__init__(out, ambient, tuple(basis))
         return out
 
     @property
@@ -163,8 +158,7 @@ class SolutionSpace:
         return len(self.basis)
 
 
-@dataclass(frozen=True)
-class QuadraticConstraintSet:
+class QuadraticConstraintSet(_Value):
     """Quadratic relations among family parameters c_1..c_m.
 
     Each constraint is a mapping (i, j) -> coefficient with i <= j standing
@@ -172,8 +166,7 @@ class QuadraticConstraintSet:
     annihilates every constraint.
     """
 
-    parameters: tuple
-    constraints: tuple
+    __slots__ = _fields = ("parameters", "constraints")
 
     def evaluate(self, values):
         values = [_frac(v) for v in values]
@@ -195,20 +188,15 @@ class QuadraticConstraintSet:
         return all(not constraint for constraint in self.constraints)
 
 
-@dataclass(frozen=True)
-class ClassificationCase:
+class ClassificationCase(_Value):
     """One catalog stratum: kernel, trace-free projection and generators.
 
     ``generator_flags`` holds one verified ``(poisson, simple, rank)`` tuple
     per generator, so documents need not recompute them.
     """
 
-    matrix: LinearMatrix
-    kernel: SolutionSpace
-    tracefree_basis: tuple
-    constraints: Optional[QuadraticConstraintSet]
-    generators: tuple
-    generator_flags: tuple
+    __slots__ = _fields = ("matrix", "kernel", "tracefree_basis", "constraints",
+                           "generators", "generator_flags")
 
 
 def matrix_action_field(matrix):

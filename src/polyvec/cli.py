@@ -21,14 +21,14 @@ import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__, classifier, invariants
 from .errors import DimensionError, DomainError, ParseError, PolyvecError, PreconditionError
-from .fields import LinearMatrix, PolyVectorField, _unpack, schouten, wedge
+from .fields import LinearMatrix, PolyVectorField, _unpack, _Value, schouten, wedge
 from .duality import dim_irrep, trace_d
 from .decomposition import decompose
 from .structures import (
@@ -91,13 +91,11 @@ def _parse_error(text, k, message):
     return ParseError(message, positions[k] if k < len(positions) else len(text))
 
 
-@dataclass(frozen=True)
-class ExpressionAST:
+class ExpressionAST(_Value):
     """A parsed field as its sorted terms (coefficient, exponents,
     ascending partials)."""
 
-    dim: int
-    terms: tuple
+    __slots__ = _fields = ("dim", "terms")
 
     def to_field(self):
         return PolyVectorField(self.dim, {(exp, idx): c for c, exp, idx in self.terms})
@@ -615,7 +613,15 @@ def _render_catalog(doc):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is still buffered to
+        # devnull, where the flush at exit cannot fail again, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -10,22 +10,17 @@ defining expressions; delegating to ``schouten`` + ``decompose`` is the
 independent oracle the tests compare against.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateNormalizerError, ParityError
-from .fields import BiDegree, PolyVectorField, euler, radial_field, schouten, wedge
+from .fields import BiDegree, PolyVectorField, _Value, euler, radial_field, schouten, wedge
 from .duality import trace_d
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(_Value):
     """Parts of A = tracefree + trace /\\ e^(k,l); trace_part is the wedge."""
 
-    tracefree: PolyVectorField
-    trace_part: PolyVectorField
-    trace: PolyVectorField
-    bidegree: BiDegree
+    __slots__ = _fields = ("tracefree", "trace_part", "trace", "bidegree")
 
     def __iter__(self):
         return iter((self.tracefree, self.trace_part, self.trace))

@@ -8,7 +8,6 @@ gives the same operator and is kept around as the cross-check route.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import DimensionError, DomainError
 from .fields import (
@@ -19,16 +18,16 @@ from .fields import (
     _derivative_buckets,
     _shift,
     _SparseTerms,
+    _Value,
     _sort_with_sign,
     merge_indices,
 )
 
 
-@dataclass(frozen=True)
-class VolumeConvention:
+class VolumeConvention(_Value):
     """Marker for the fixed orientation dx^1 /\\ ... /\\ dx^n."""
 
-    dim: int
+    __slots__ = _fields = ("dim",)
 
     def epsilon(self, indices):
         """Totally antisymmetric symbol with epsilon_{1..n} = +1."""

@@ -45,7 +45,6 @@ Schouten bracket and ``duality.exterior_derivative`` read.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index, lt
 from struct import Struct, error as StructError, unpack
@@ -153,12 +152,55 @@ def merge_indices(a, b):
     return sign, tuple(out)
 
 
-@dataclass(frozen=True)
-class BiDegree:
+class _Value:
+    """Base of the immutable values.  A subclass names its fields once, in
+    constructor order, as ``__slots__ = _fields = (...)``, or names
+    ``_fields`` apart when it stores other slots, each field still readable
+    as an attribute.  A value is built from its fields by position or
+    keyword, refuses assignment and deletion, equals a value of the same type
+    with equal fields, hashes as the tuple of its fields and prints as
+    ``Name(field=value, ...)``; copy, deep copy and pickle rebuild it through
+    its constructor.  A constructor that checks its arguments sets the slots
+    through ``_Value.__init__``."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(args) > len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = zip(self._fields, self._values())
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class BiDegree(_Value):
     """Polynomial degree k and multivector degree ell of a homogeneous field."""
 
-    k: int
-    ell: int
+    __slots__ = _fields = ("k", "ell")
 
     @property
     def delta(self):
@@ -225,7 +267,7 @@ def _normalised(grouped, den):
     return nums, den
 
 
-class _SparseTerms:
+class _SparseTerms(_Value):
     """A finitely supported map (exponents, strictly increasing indices) ->
     nonzero rational on R^dim, stored as integer numerators ``nums``,
     ``{indices: {packed exponents: numerator}}`` with no empty group, over
@@ -240,6 +282,7 @@ class _SparseTerms:
     """
 
     __slots__ = ("dim", "den", "nums")
+    _fields = ("dim", "terms")
 
     # Name of an index slot in error messages and its prefix in ``repr``.
     _index_kind = "partial"
@@ -300,9 +343,6 @@ class _SparseTerms:
         dim, den = self.dim, self.den
         return {(_unpack(dim, packed), idx): Fraction(c, den)
                 for idx, group in self.nums.items() for packed, c in group.items()}
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls, dim):
@@ -580,21 +620,20 @@ def homogeneous_components(u):
             for deg, nums in buckets.items()}
 
 
-class LinearMatrix:
+class LinearMatrix(_Value):
     """A square matrix of exact rationals (linear fields, diffeomorphisms)."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = _fields = ("entries",)
 
     def __init__(self, entries):
-        rows = [tuple(_frac(x) for x in row) for row in entries]
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        rows = tuple(tuple(_frac(x) for x in row) for row in entries)
+        if not rows or any(len(r) != len(rows) for r in rows):
             raise DimensionError("matrix must be square and non-empty")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "entries", tuple(rows))
+        _Value.__init__(self, rows)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearMatrix is immutable")
+    @property
+    def dim(self):
+        return len(self.entries)
 
     @classmethod
     def identity(cls, n):
@@ -604,13 +643,6 @@ class LinearMatrix:
     def diagonal(cls, values):
         n = len(values)
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other):
-        return (isinstance(other, LinearMatrix)
-                and self.dim == other.dim and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -670,8 +702,9 @@ def pushforward(l_matrix, u):
     L_*(U /\\ V) = det(L) * (L_*U /\\ L_*V), while the Schouten bracket is
     preserved verbatim.
 
-    L and L^-1 go over their common denominators once, and the work is done
-    once per index group.  Each term adds its weighted monomial image into
+    det(L) and L^-1 are read off one elimination of [L | I], L and L^-1 go
+    over their common denominators once, and the work is done once per
+    index group.  Each term adds its weighted monomial image into
     the group's one coefficient polynomial; the partial images of the
     group's indices fold into one wedge; and each entry of that wedge adds
     its multiple of the coefficient into the totals.  Monomial images are
@@ -680,11 +713,11 @@ def pushforward(l_matrix, u):
     """
     _check_dim(l_matrix, u)
     n = u.dim
-    det = l_matrix.det()
-    if not det:
+    inv, det = linalg.inverse_and_determinant(l_matrix.entries)
+    if inv is None:
         raise SingularMatrixError("pushforward along a singular matrix")
     rows, d_rows = _integer_rows(l_matrix.entries)
-    inv, d_inv = _integer_rows(l_matrix.inverse().entries)
+    inv, d_inv = _integer_rows(inv)
     # the key of each x_t, and d_rows * x_m and d_inv * d_j as sparse
     # integer linear combinations
     units = [(1 << _shift(n, t)) + 1 for t in range(n)]

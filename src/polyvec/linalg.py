@@ -14,7 +14,7 @@ row becomes ``Fraction(value, lead)`` once, at the end.  The classifier's
 kernel matrices (80 unknowns, 1-5 % nonzero) stay sparse throughout.  The
 reduced row echelon form is unique, so the choice of pivot rows changes the
 cost of ``rref`` and never its answer.  ``determinant`` reads its value off
-the same elimination.
+the same elimination, and ``inverse_and_determinant`` both off one.
 
 A matrix is a list of rows; a row is a sequence (dense) or a mapping
 ``{column: value}`` (sparse, absent columns are zero).  Entries are ints or
@@ -206,23 +206,34 @@ def _square(rows):
 
 
 def determinant(rows):
-    """Determinant of a square matrix, as a ``Fraction``.  Scaling a row by
-    ``s`` scales it by ``s`` and row subtractions keep it, so at full rank it
-    is the signed product of ``_eliminate``'s leads over all the scalings."""
-    n = _square(rows)
+    """Determinant of a square matrix, as a ``Fraction``."""
+    return _determinant(_square(rows), rows)[0]
+
+
+def _determinant(n, rows):
+    """``(determinant, reduced rows)`` of the n x n matrix that leads the
+    rows ``rows``, which may go on past column n.  Scaling a row by ``s``
+    scales the determinant by ``s`` and row subtractions keep it, so at full
+    rank it is the signed product of ``_eliminate``'s leads over all the
+    scalings; columns past n only join the scalings and contents."""
     cleared = [_integer_row(row) for row in rows]
-    _, pivots, leads, odd, scaled, divided = _eliminate([out for out, _, _ in cleared])
-    if len(pivots) < n:
-        return _ZERO
+    reduced, pivots, leads, odd, scaled, divided = _eliminate([out for out, _, _ in cleared])
+    if pivots[:n] != list(range(n)):
+        return _ZERO, reduced
     value = (-1) ** odd * prod(leads) * divided * prod(g for _, _, g in cleared)
-    return Fraction(value, scaled * prod(den for _, den, _ in cleared))
+    return Fraction(value, scaled * prod(den for _, den, _ in cleared)), reduced
 
 
 def inverse(rows):
     """Inverse of a square matrix, or None when singular."""
+    return inverse_and_determinant(rows)[0]
+
+
+def inverse_and_determinant(rows):
+    """``(inverse(rows), determinant(rows))``, both read off one elimination
+    of ``[rows | I]``."""
     n = _square(rows)
-    aug = [{**_as_mapping(row), n + i: 1} for i, row in enumerate(rows)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [[row.get(n + j, _ZERO) for j in range(n)] for row in reduced]
+    det, reduced = _determinant(n, [{**_as_mapping(row), n + i: 1} for i, row in enumerate(rows)])
+    if not det:
+        return None, det
+    return [[row.get(n + j, _ZERO) for j in range(n)] for row in reduced], det

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .fields import (
     PolyVectorField,
+    _Value,
     _add_products,
     _check_degrees,
     _check_dim,
@@ -34,10 +35,10 @@ from .duality import trace_d
 from .decomposition import decompose
 
 
-class JacobiPair:
+class JacobiPair(_Value):
     """A candidate Jacobi structure: a 2l-vector and a (2l-1)-vector."""
 
-    __slots__ = ("lam", "e_field")
+    __slots__ = _fields = ("lam", "e_field")
 
     def __init__(self, lam, e_field):
         _check_dim(lam, e_field)
@@ -51,21 +52,13 @@ class JacobiPair:
             raise ParityError("the odd member must have a single vector degree")
         if lam_degs and e_degs and next(iter(e_degs)) != next(iter(lam_degs)) - 1:
             raise ParityError("vector degrees must differ by one")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "e_field", e_field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JacobiPair is immutable")
+        _Value.__init__(self, lam, e_field)
 
     def __iter__(self):
         return iter((self.lam, self.e_field))
 
-    def __eq__(self, other):
-        return (isinstance(other, JacobiPair)
-                and self.lam == other.lam and self.e_field == other.e_field)
 
-
-class RMatrix:
+class RMatrix(_Value):
     """Element of Lambda^2(gl_n) on the matrix-unit basis E_ij /\\ E_kl.
 
     Stored with one coefficient per ordered pair of matrix units, the pairs
@@ -77,7 +70,7 @@ class RMatrix:
     equal, and hash equal, when their ``dim`` and ``coefficients`` are.
     """
 
-    __slots__ = ("dim", "coefficients")
+    __slots__ = _fields = ("dim", "coefficients")
 
     def __init__(self, dim, coefficients=None):
         dim = index(dim)
@@ -96,19 +89,14 @@ class RMatrix:
             if unit_a > unit_b:
                 unit_a, unit_b, coeff = unit_b, unit_a, -coeff
             canonical[unit_a, unit_b] = canonical.get((unit_a, unit_b), 0) + coeff
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coefficients",
-                           MappingProxyType({k: c for k, c in canonical.items() if c}))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RMatrix is immutable")
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.dim == other.dim
-                and self.coefficients == other.coefficients)
+        _Value.__init__(self, dim, MappingProxyType({k: c for k, c in canonical.items() if c}))
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.coefficients.items())))
+
+    def __reduce__(self):
+        # a mappingproxy can be neither pickled nor deep-copied
+        return type(self), (self.dim, dict(self.coefficients))
 
 
 def _even_degrees(p):

@@ -560,12 +560,17 @@ def test_catalog_text_output_matches_golden_document(golden):
         assert [line.endswith(" = 0") for line in lines[at + 1:at + 8]] == [True] * 6 + [False]
 
 
-def test_closed_stdout_exits_nonzero_without_a_traceback():
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_nonzero_without_a_traceback(unbuffered):
     """A reader that closes the pipe early (``polyvec rank ... | true``) gets
-    exit status 1 and nothing on stderr."""
+    exit status 1 and nothing on stderr, whether the write or the flush at
+    exit meets the closed pipe."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "polyvec", "rank", "--dim", "4", "d1/\\d2 + d3/\\d4"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)

@@ -140,8 +140,10 @@ def test_pushforward_preserves_schouten_and_twists_wedge():
 
 def test_pushforward_singular_matrix():
     singular = LinearMatrix([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="^pushforward along a singular matrix$"):
         pushforward(singular, pv("d1", 3))
+    with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+        singular.inverse()
 
 
 @pytest.mark.parametrize("a, b", [(2, 3), (3, 2)])

@@ -106,6 +106,7 @@ def test_inverse_agrees_with_oracle():
         aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
         reduced, pivots = rref_dense(aug)
         inv = linalg.inverse(rows)
+        assert linalg.inverse_and_determinant(rows) == (inv, linalg.determinant(rows))
         if pivots[:n] != list(range(n)):
             assert inv is None
             continue
@@ -156,7 +157,8 @@ def test_singular_inverse_is_none(rows):
     assert linalg.inverse(rows) is None
 
 
-@pytest.mark.parametrize("operation", [linalg.determinant, linalg.inverse])
+@pytest.mark.parametrize("operation", [linalg.determinant, linalg.inverse,
+                                       linalg.inverse_and_determinant])
 @pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]],
                                   [[1, 2], [3]], [[]], [{0: 1}, {2: 1}]])
 def test_non_square_matrices_raise(operation, rows):

@@ -134,6 +134,9 @@ def test_determinant_equals_the_fraction_oracle(rows):
     det = linalg.determinant(rows)
     assert det == determinant_by_fractions(rows)
     assert type(det) is Fraction
+    inv, det_augmented = linalg.inverse_and_determinant(rows)
+    assert det_augmented == det and type(det_augmented) is Fraction
+    assert inv == linalg.inverse(rows) and (inv is None) == (det == 0)
     if rows:
         det = LinearMatrix(rows).det()
         assert det == determinant_by_fractions(rows) and type(det) is Fraction

@@ -104,6 +104,14 @@ def test_values_compare_by_their_fields(cls):
         assert len({a, b, other}) == 2
 
 
+@pytest.mark.parametrize("cls", [BiDegree, VolumeConvention, DecompositionResult, SolutionSpace,
+                                 ClassificationCase, ExpressionAST],
+                         ids=lambda cls: cls.__name__)
+def test_records_hash_as_the_tuple_of_their_fields(cls):
+    value = VALUES[cls][0]()
+    assert hash(value) == hash(tuple(_fields(value)))
+
+
 def test_value_equality_is_type_strict():
     u = PolyVectorField(2, {((1, 0), (1,)): 1})
     assert u != PolyDifferentialForm(2, {((1, 0), (1,)): 1})
@@ -119,6 +127,15 @@ def test_values_build_by_position_or_keyword(cls):
     fields = _fields(value)
     assert cls(*fields) == value
     assert cls(**dict(zip(names, fields))) == value
+    assert cls(**dict(reversed(list(zip(names, fields))))) == value
+    assert cls(fields[0], **dict(zip(names[1:], fields[1:]))) == value
+
+
+@pytest.mark.parametrize("args, kwargs", [((1,), {}), ((1, 2, 3), {}), ((1,), {"k": 2}),
+                                          ((1,), {"ell": 2, "other": 3}), ((), {"ell": 2})])
+def test_records_refuse_missing_extra_and_repeated_fields(args, kwargs):
+    with pytest.raises(TypeError):
+        BiDegree(*args, **kwargs)
 
 
 @TYPES
