@@ -21,6 +21,7 @@ what reproduces the printed kernel bases of the catalog strata.
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from types import MappingProxyType
 
 from .errors import DimensionError, PreconditionError
 from . import linalg
@@ -163,10 +164,23 @@ class QuadraticConstraintSet(_Value):
 
     Each constraint is a mapping (i, j) -> coefficient with i <= j standing
     for the monomial c_i c_j; a parameter tuple lies on the zero locus iff it
-    annihilates every constraint.
+    annihilates every constraint.  The parameters are stored as a tuple and
+    each constraint as a read-only view of a copy, so the set hashes and no
+    write can change it.
     """
 
     __slots__ = _fields = ("parameters", "constraints")
+
+    def __init__(self, parameters, constraints):
+        _Value.__init__(self, tuple(parameters),
+                        tuple(MappingProxyType(dict(c)) for c in constraints))
+
+    def __hash__(self):
+        return hash((self.parameters, tuple(frozenset(c.items()) for c in self.constraints)))
+
+    def __reduce__(self):
+        # a mappingproxy can be neither pickled nor deep-copied
+        return type(self), (self.parameters, tuple(map(dict, self.constraints)))
 
     def evaluate(self, values):
         values = [_frac(v) for v in values]

@@ -16,10 +16,8 @@ out.  Coordinate aliases follow the printed dictionaries: (x, y, z) in
 dimension three and (t, x, y, z) in dimension four.
 """
 
-import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import re
@@ -323,16 +321,8 @@ def parse_rmatrix_terms(text, n):
 
 
 def _constraint_strings(constraints):
-    out = []
-    for constraint in constraints.constraints:
-        if not constraint:
-            continue
-        bits = []
-        for (i, j), c in sorted(constraint.items()):
-            name = f"c{i + 1}*c{j + 1}"
-            bits.append(f"{c}*{name}")
-        out.append(" + ".join(bits))
-    return out
+    return [" + ".join(f"{c}*c{i + 1}*c{j + 1}" for (i, j), c in sorted(constraint.items()))
+            for constraint in constraints.constraints if constraint]
 
 
 def catalog_document(case, alias="numeric"):
@@ -404,70 +394,81 @@ def run_selftest(out, err):
 # -- command line ------------------------------------------------------------
 
 
-def _common_flags(sub):
-    sub.add_argument("--dim", type=int, default=3, help="ambient dimension n")
-    sub.add_argument("--json", action="store_true", help="emit a JSON document")
-    sub.add_argument("--alias", choices=("numeric", "xyz", "txyz"), default="numeric",
-                     help="coordinate naming used for output")
-
-
 @functools.cache
 def _parser():
     """The argument parser, built on first use and shared by every ``run``:
     ``parse_args`` keeps no state between calls and returns a fresh
-    ``Namespace`` each time."""
+    ``Namespace`` each time.
+
+    Each subcommand is declared once, here: its help string, its own
+    arguments and the handler ``run`` calls, which returns ``(text, JSON
+    value, exit status)``.  A handler looks up its operation (``wedge``,
+    ``classifier.cubic3_catalog``, ...) when it runs, so that a wrapper bound
+    there (a profiler, a test's monkeypatch) is the one that runs.  Every
+    subcommand then takes ``--dim``, ``--json`` and ``--alias``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polyvec",
         description="Exact computations with polynomial poly-vector fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, nargs, doc in [
-        ("wedge", 2, "wedge product of two fields"),
-        ("bracket", 2, "Schouten bracket of two fields"),
-        ("trace", 1, "trace differential of a field"),
-        ("decompose", 1, "trace-free/trace decomposition of a homogeneous field"),
-        ("check-poisson", 1, "is the even field a (generalized) Poisson structure?"),
-        ("check-jacobi", 2, "do the two fields form a Jacobi pair?"),
-        ("rank", 1, "generic rank of a bi-vector field"),
-        ("associate", 1, "the two canonical Jacobi pairs of a Poisson structure"),
-    ]:
-        p = sub.add_parser(name, help=doc)
-        p.add_argument("expr", nargs=nargs)
-        _common_flags(p)
-
+    p = sub.add_parser("wedge", help="wedge product of two fields")
+    p.add_argument("expr", nargs=2)
+    p.set_defaults(handler=lambda args: _result(args, wedge(*_fields(args))))
+    p = sub.add_parser("bracket", help="Schouten bracket of two fields")
+    p.add_argument("expr", nargs=2)
+    p.set_defaults(handler=lambda args: _result(args, schouten(*_fields(args))))
+    p = sub.add_parser("trace", help="trace differential of a field")
+    p.add_argument("expr", nargs=1)
+    p.set_defaults(handler=lambda args: _result(args, trace_d(*_fields(args))))
+    p = sub.add_parser("decompose", help="trace-free/trace decomposition of a homogeneous field")
+    p.add_argument("expr", nargs=1)
+    p.set_defaults(handler=_decompose)
+    p = sub.add_parser("check-poisson",
+                       help="is the even field a (generalized) Poisson structure?")
+    p.add_argument("expr", nargs=1)
+    p.set_defaults(handler=lambda args: _verdict("poisson", is_poisson(*_fields(args))))
+    p = sub.add_parser("check-jacobi", help="do the two fields form a Jacobi pair?")
+    p.add_argument("expr", nargs=2)
+    p.set_defaults(
+        handler=lambda args: _verdict("jacobi", is_jacobi(JacobiPair(*_fields(args)))))
+    p = sub.add_parser("rank", help="generic rank of a bi-vector field")
+    p.add_argument("expr", nargs=1)
+    p.set_defaults(handler=_rank)
+    p = sub.add_parser("associate", help="the two canonical Jacobi pairs of a Poisson structure")
+    p.add_argument("expr", nargs=1)
+    p.set_defaults(handler=_associate)
     p = sub.add_parser("dim-irrep", help="dimension of the trace-free block of P^(k,l)")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    _common_flags(p)
-
+    for name in ("n", "k", "l"):
+        p.add_argument(name, type=int)
+    p.set_defaults(handler=_dim_irrep)
+    matrix = 'matrix literal "r11,r12,..;r21,.."'
     p = sub.add_parser("classify-cubic3", help="cubic catalog case in dimension 3")
-    p.add_argument("--matrix", required=True, help='matrix literal "r11,r12,..;r21,.."')
-    _common_flags(p)
-
+    p.add_argument("--matrix", required=True, help=matrix)
+    p.set_defaults(handler=lambda args: _catalog(args, classifier.cubic3_catalog))
     p = sub.add_parser("classify-quad4", help="quadratic catalog case in dimension 4")
-    p.add_argument("--matrix", required=True, help='matrix literal "r11,r12,..;r21,.."')
-    _common_flags(p)
-
+    p.add_argument("--matrix", required=True, help=matrix)
+    p.set_defaults(handler=lambda args: _catalog(args, classifier.quad4_catalog))
     p = sub.add_parser("rmatrix", help="quadratic bi-vector image of an r-matrix")
     p.add_argument("--terms", required=True, help='terms "i,j,k,l:coeff;..."')
-    _common_flags(p)
-
+    p.set_defaults(handler=_rmatrix)
     p = sub.add_parser("selftest", help="run the condensed invariant suite")
-    _common_flags(p)
+    p.set_defaults(handler=None)
+
+    for p in sub.choices.values():
+        p.add_argument("--dim", type=int, default=3, help="ambient dimension n")
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
+        p.add_argument("--alias", choices=("numeric", "xyz", "txyz"), default="numeric",
+                       help="coordinate naming used for output")
     return parser
-
-
-def _emit(args, text_value, json_value, out):
-    if args.json:
-        print(json.dumps(json_value, indent=2, sort_keys=True), file=out)
-    else:
-        print(text_value, file=out)
 
 
 def run(argv, out=None, err=None):
     """Execute one CLI invocation; returns the exit status (0 ok / true,
-    1 false predicate, 2 error)."""
+    1 false predicate, 2 error).  This is the one place where a result is
+    printed, as text or with ``--json`` as a JSON document, and where its
+    exit status is picked."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
@@ -478,126 +479,105 @@ def run(argv, out=None, err=None):
         return 0 if exc.code in (0, None) else 2
 
     try:
-        return _dispatch(args, out, err)
+        if args.dim > MAX_DIM:
+            raise DimensionError(f"ambient dimension must be <= {MAX_DIM}, got {args.dim}")
+        if args.handler is None:  # selftest prints its own report
+            return run_selftest(out, err)
+        text, value, status = args.handler(args)
     except PolyvecError as exc:
         print(f"error: {exc}", file=err)
         return 2
+    if args.json:
+        import json
+        text = json.dumps(value, indent=2, sort_keys=True)
+    print(text, file=out)
+    return status
 
 
-# Operations and catalogs by name, looked up per call (operations in this
-# module, catalogs on ``classifier``) so that a wrapper bound there (a
-# profiler, a test's monkeypatch) is the one that runs.
-_OPERATIONS = {"wedge": "wedge", "bracket": "schouten", "trace": "trace_d"}
-_CATALOGS = {"classify-cubic3": "cubic3_catalog", "classify-quad4": "quad4_catalog"}
+# -- handlers: each returns (text, JSON value, exit status) ------------------
 
 
-def _dispatch(args, out, err):
-    cmd = args.command
-    if args.dim > MAX_DIM:
-        raise DimensionError(f"ambient dimension must be <= {MAX_DIM}, got {args.dim}")
-    if cmd == "selftest":
-        return run_selftest(out, err)
-
-    if cmd == "dim-irrep":
-        if args.n > MAX_DIM or args.k > MAX_DEGREE:
-            raise DomainError(f"dim-irrep needs n <= {MAX_DIM} and k <= {MAX_DEGREE}, "
-                              f"got n={args.n}, k={args.k}")
-        value = dim_irrep(args.n, args.k, args.l)
-        try:
-            text = str(value)
-        except ValueError:
-            raise _digit_limit_error() from None
-        _emit(args, text, {"dim_irrep": value, "n": args.n, "k": args.k, "l": args.l}, out)
-        return 0
-
-    if cmd in _CATALOGS:
-        case = getattr(classifier, _CATALOGS[cmd])(parse_matrix(args.matrix))
-        doc = catalog_document(case, args.alias)
-        _emit(args, _render_catalog(doc), doc, out)
-        return 0
-
-    if cmd == "rmatrix":
-        image = r_matrix_to_bivector(parse_rmatrix_terms(args.terms, args.dim))
-        rendered = format_expr(image, args.alias)
-        _emit(args, rendered,
-              {"bivector": rendered, "poisson": bool(is_poisson(image))}, out)
-        return 0
-
+def _fields(args):
+    """The field arguments of a subcommand, parsed over ``--dim`` >= 1."""
     if args.dim < 1:
         raise DimensionError(f"ambient dimension must be >= 1, got {args.dim}")
-    exprs = [parse_field(e, args.dim) for e in args.expr]
+    return [parse_field(e, args.dim) for e in args.expr]
 
-    if cmd in _OPERATIONS:
-        rendered = format_expr(globals()[_OPERATIONS[cmd]](*exprs), args.alias)
-        _emit(args, rendered, {"result": rendered}, out)
-        return 0
 
-    if cmd == "decompose":
-        parts = decompose(exprs[0])
-        rendered = {
-            "tracefree": format_expr(parts.tracefree, args.alias),
-            "trace_part": format_expr(parts.trace_part, args.alias),
-            "trace": format_expr(parts.trace, args.alias),
-            "bidegree": [parts.bidegree.k, parts.bidegree.ell],
-        }
-        text = "\n".join(f"{key}: {rendered[key]}" for key in ("tracefree", "trace_part", "trace"))
-        _emit(args, text, rendered, out)
-        return 0
+def _result(args, value):
+    """wedge, bracket and trace: the resulting field, rendered once."""
+    text = format_expr(value, args.alias)
+    return text, {"result": text}, 0
 
-    if cmd == "check-poisson":
-        verdict = is_poisson(exprs[0])
-        _emit(args, "true" if verdict else "false", {"poisson": verdict}, out)
-        return 0 if verdict else 1
 
-    if cmd == "check-jacobi":
-        verdict = is_jacobi(JacobiPair(exprs[0], exprs[1]))
-        _emit(args, "true" if verdict else "false", {"jacobi": verdict}, out)
-        return 0 if verdict else 1
+def _verdict(key, verdict):
+    """check-poisson and check-jacobi: ``true``, or ``false`` with exit 1."""
+    return "true" if verdict else "false", {key: verdict}, 0 if verdict else 1
 
-    if cmd == "rank":
-        value = generic_rank(exprs[0])
-        _emit(args, str(value), {"rank": value}, out)
-        return 0
 
-    if cmd == "associate":
-        p = exprs[0]
-        if not is_poisson(p):
-            raise PolyvecError("associate needs a Poisson structure")
-        parts = decompose(p)
-        k, two_ell = parts.bidegree
-        pairs = [("identity", JacobiPair(p, PolyVectorField.zero(p.dim)))]
-        if k != two_ell and not parts.trace.is_zero():
-            scale = Fraction(two_ell - k, p.dim + k - two_ell)
-            pairs.append(("trace-free", JacobiPair(parts.tracefree, parts.trace.scale(scale))))
-        payload = []
-        lines = []
-        for label, pair in pairs:
-            flag = is_jacobi(pair)
-            rendered = {
-                "case": label,
-                "lambda": format_expr(pair.lam, args.alias),
-                "e": format_expr(pair.e_field, args.alias),
-                "jacobi": flag,
-            }
-            payload.append(rendered)
-            lines.append(f"{label}: lambda = {rendered['lambda']}; e = {rendered['e']}; "
-                         f"jacobi = {'true' if flag else 'false'}")
-        _emit(args, "\n".join(lines), {"pairs": payload}, out)
-        return 0
+def _catalog(args, catalog):
+    """classify-cubic3 and classify-quad4: the catalog document of the matrix."""
+    doc = catalog_document(catalog(parse_matrix(args.matrix)), args.alias)
+    return _render_catalog(doc), doc, 0
 
-    raise PolyvecError(f"unhandled command {cmd!r}")
+
+def _dim_irrep(args):
+    if args.n > MAX_DIM or args.k > MAX_DEGREE:
+        raise DomainError(f"dim-irrep needs n <= {MAX_DIM} and k <= {MAX_DEGREE}, "
+                          f"got n={args.n}, k={args.k}")
+    value = dim_irrep(args.n, args.k, args.l)
+    try:
+        text = str(value)
+    except ValueError:
+        raise _digit_limit_error() from None
+    return text, {"dim_irrep": value, "n": args.n, "k": args.k, "l": args.l}, 0
+
+
+def _rmatrix(args):
+    image = r_matrix_to_bivector(parse_rmatrix_terms(args.terms, args.dim))
+    text = format_expr(image, args.alias)
+    return text, {"bivector": text, "poisson": bool(is_poisson(image))}, 0
+
+
+def _rank(args):
+    value = generic_rank(*_fields(args))
+    return str(value), {"rank": value}, 0
+
+
+def _decompose(args):
+    parts = decompose(*_fields(args))
+    rendered = {key: format_expr(getattr(parts, key), args.alias)
+                for key in ("tracefree", "trace_part", "trace")}
+    text = "\n".join(f"{key}: {value}" for key, value in rendered.items())
+    return text, dict(rendered, bidegree=[parts.bidegree.k, parts.bidegree.ell]), 0
+
+
+def _associate(args):
+    [p] = _fields(args)
+    if not is_poisson(p):
+        raise PolyvecError("associate needs a Poisson structure")
+    parts = decompose(p)
+    k, two_ell = parts.bidegree
+    pairs = [("identity", JacobiPair(p, PolyVectorField.zero(p.dim)))]
+    if k != two_ell and not parts.trace.is_zero():
+        scale = Fraction(two_ell - k, p.dim + k - two_ell)
+        pairs.append(("trace-free", JacobiPair(parts.tracefree, parts.trace.scale(scale))))
+    payload, lines = [], []
+    for label, pair in pairs:
+        flag = is_jacobi(pair)
+        rendered = {"case": label, "lambda": format_expr(pair.lam, args.alias),
+                    "e": format_expr(pair.e_field, args.alias), "jacobi": flag}
+        payload.append(rendered)
+        lines.append(f"{label}: lambda = {rendered['lambda']}; e = {rendered['e']}; "
+                     f"jacobi = {'true' if flag else 'false'}")
+    return "\n".join(lines), {"pairs": payload}, 0
 
 
 def _render_catalog(doc):
-    lines = [
-        f"matrix: {doc['matrix']}",
-        f"kernel dimension: {doc['kernel_dimension']}",
-    ]
-    for b in doc["kernel_basis"]:
-        lines.append(f"  kernel: {b}")
+    lines = [f"matrix: {doc['matrix']}", f"kernel dimension: {doc['kernel_dimension']}"]
+    lines += [f"  kernel: {b}" for b in doc["kernel_basis"]]
     lines.append(f"trace-free dimension: {doc['tracefree_dimension']}")
-    for b in doc["tracefree_basis"]:
-        lines.append(f"  tracefree: {b}")
+    lines += [f"  tracefree: {b}" for b in doc["tracefree_basis"]]
     if "constraints" in doc:
         if doc["constraints"]:
             lines.append("constraints:")

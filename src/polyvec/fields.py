@@ -227,6 +227,15 @@ def _check_degrees(keys):
                 f"{_DEGREE_TOP - 1}")
 
 
+def _ambient_dim(dim):
+    """``dim`` as an ``int`` (``TypeError`` for a float or a string), or
+    ``DimensionError`` below 1."""
+    dim = index(dim)
+    if dim < 1:
+        raise DimensionError(f"ambient dimension must be >= 1, got {dim}")
+    return dim
+
+
 def _check_dim(a, b):
     """Raise ``DimensionError`` unless ``a`` and ``b`` have one ``dim``."""
     if a.dim != b.dim:
@@ -296,9 +305,7 @@ class _SparseTerms(_Value):
         their permutation sign, a repeated index drops the term, and terms
         with equal keys add.  The numerators are summed over the lcm of the
         coefficient denominators and normalised."""
-        dim = index(dim)
-        if dim < 1:
-            raise DimensionError(f"ambient dimension must be >= 1, got {dim}")
+        dim = _ambient_dim(dim)
         packer = _packer(dim)
         signed = []
         for (exp, idx), coeff in (terms or {}).items():
@@ -348,7 +355,14 @@ class _SparseTerms(_Value):
     def zero(cls, dim):
         return cls(dim, {})
 
-    _check_dim = _check_dim
+    def _check_dim(self, other):
+        """Raise ``TypeError`` unless ``other`` has the type of ``self`` (a
+        field and a form never combine), then ``DimensionError`` unless the
+        two have one ``dim``."""
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        _check_dim(self, other)
 
     def _combined(self, other, sign):
         """``self + sign * other`` over the lcm of the two denominators."""
@@ -584,6 +598,8 @@ def schouten(u, v):
     packed keys of each pair add with one ``+``, and the totals over the
     product of the two denominators are normalised once at the end.
     """
+    if type(u) is not PolyVectorField:
+        raise TypeError(f"the Schouten bracket takes PolyVectorField, not {type(u).__name__}")
     u._check_dim(v)
     grouped = {}
     _slot_derivatives(grouped, u.nums, _derivative_buckets(u.dim, v.nums), False)
@@ -593,6 +609,7 @@ def schouten(u, v):
 
 def radial_field(n):
     """The radial vector field e0 = x^m d_m."""
+    n = _ambient_dim(n)
     return PolyVectorField._wrap(
         n, {(m + 1,): {(1 << _shift(n, m)) + 1: 1} for m in range(n)}, 1)
 

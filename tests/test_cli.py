@@ -215,7 +215,8 @@ def test_run_dimension_cap_fails_before_parsing(monkeypatch):
     monkeypatch.setattr(cli, "parse_field", no_parse)
     for argv in (["rank", "--dim", "1000000", "d1/\\d2"],
                  ["wedge", "--dim", str(cli.MAX_DIM + 1), "d1", "d2"],
-                 ["rmatrix", "--dim", "1000000", "--terms", "1,1,2,2:1"]):
+                 ["rmatrix", "--dim", "1000000", "--terms", "1,1,2,2:1"],
+                 ["selftest", "--dim", "1000000"]):
         start = time.perf_counter()
         code, text, err = call(argv)
         assert time.perf_counter() - start < 1.0
@@ -385,6 +386,82 @@ def test_run_sends_argparse_output_to_the_given_streams(capsys):
 
 def test_run_selftest():
     assert call(["selftest"]) == (0, "selftest: all invariants hold", "")
+    assert call(["selftest", "--json"]) == (0, "selftest: all invariants hold", "")
+
+
+# -- the command-line surface --------------------------------------------------
+# Each subcommand with its help string, its own arguments as they show in its
+# usage, and its own options; every one then takes --dim, --json and --alias.
+
+SUBCOMMANDS = [
+    ("wedge", "wedge product of two fields", "expr expr", []),
+    ("bracket", "Schouten bracket of two fields", "expr expr", []),
+    ("trace", "trace differential of a field", "expr", []),
+    ("decompose", "trace-free/trace decomposition of a homogeneous field", "expr", []),
+    ("check-poisson", "is the even field a (generalized) Poisson structure?", "expr", []),
+    ("check-jacobi", "do the two fields form a Jacobi pair?", "expr expr", []),
+    ("rank", "generic rank of a bi-vector field", "expr", []),
+    ("associate", "the two canonical Jacobi pairs of a Poisson structure", "expr", []),
+    ("dim-irrep", "dimension of the trace-free block of P^(k,l)", "n k l", []),
+    ("classify-cubic3", "cubic catalog case in dimension 3", "",
+     [("--matrix MATRIX", 'matrix literal "r11,r12,..;r21,.."')]),
+    ("classify-quad4", "quadratic catalog case in dimension 4", "",
+     [("--matrix MATRIX", 'matrix literal "r11,r12,..;r21,.."')]),
+    ("rmatrix", "quadratic bi-vector image of an r-matrix", "",
+     [("--terms TERMS", 'terms "i,j,k,l:coeff;..."')]),
+    ("selftest", "run the condensed invariant suite", "", []),
+]
+COMMON_FLAGS = [("--dim DIM", "ambient dimension n"), ("--json", "emit a JSON document"),
+                ("--alias {numeric,xyz,txyz}", "coordinate naming used for output")]
+
+
+def _help_entries(text):
+    """``(argument, help)`` for each argument line of a --help text, in order."""
+    entries = []
+    for line in text.splitlines():
+        if line.startswith("  ") and not line.startswith("   "):
+            name, _, doc = line.strip().partition("  ")
+            entries.append([name, doc.strip()])
+        elif entries and line.startswith("   ") and not entries[-1][1]:
+            entries[-1][1] = line.strip()
+    return [tuple(entry) for entry in entries]
+
+
+def test_help_lists_every_subcommand_once_in_order():
+    code, text, err = call(["--help"])
+    assert (code, err) == (0, "")
+    section = text.split("positional arguments:\n")[1].split("\n\n")[0]
+    listed = [line.split(None, 1) for line in section.splitlines() if line.startswith("    ")]
+    assert listed == [[name, doc] for name, doc, _, _ in SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("name, positionals, options",
+                         [(name, pos, opts) for name, _, pos, opts in SUBCOMMANDS],
+                         ids=[entry[0] for entry in SUBCOMMANDS])
+def test_subcommand_usage_names_its_arguments_then_the_common_flags(name, positionals, options):
+    code, text, err = call([name, "--help"])
+    assert (code, err) == (0, "")
+    usage = " ".join(text.split("\n\n")[0].split())
+    own = "".join(f"{option} " for option, _ in options)
+    assert usage == (f"usage: polyvec {name} [-h] {own}[--dim DIM] [--json] "
+                     f"[--alias {{numeric,xyz,txyz}}]{' ' + positionals if positionals else ''}")
+    positional_entries = [(arg, "") for arg in dict.fromkeys(positionals.split())]
+    assert _help_entries(text) == (positional_entries
+                                   + [("-h, --help", "show this help message and exit")]
+                                   + options + COMMON_FLAGS)
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["decompose", "--dim", "3", "x2*d1/\\d2 + 3*x3*d1/\\d3"], 0,
+     {"bidegree": [1, 2], "trace": "4*d1", "trace_part": "2*x2*d1/\\d2 + 2*x3*d1/\\d3",
+      "tracefree": "-x2*d1/\\d2 + x3*d1/\\d3"}),
+    (["check-poisson", "--dim", "3", "x1*d1/\\d2 + x2*d2/\\d3"], 1, {"poisson": False}),
+    (["check-jacobi", "--dim", "3", "x1*d1/\\d2", "0"], 0, {"jacobi": True}),
+    (["dim-irrep", "3", "2", "2"], 0, {"dim_irrep": 10, "k": 2, "l": 2, "n": 3}),
+    (["rank", "--dim", "4", "d1/\\d2 + d3/\\d4"], 0, {"rank": 4}),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_json_documents_are_pinned(argv, code, expected):
+    assert call(argv + ["--json"]) == (code, json.dumps(expected, indent=2, sort_keys=True), "")
 
 
 def test_matrix_parsing():

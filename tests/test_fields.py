@@ -26,6 +26,7 @@ from polyvec import (
     skew_component,
     to_form,
     wedge,
+    wedge_forms,
 )
 from polyvec.invariants import random_nonzero, random_triples, triple_failures
 from util import pv, random_invertible, so3_bivector
@@ -236,7 +237,45 @@ def test_dimension_must_be_an_integer(dim):
         lambda: PolyVectorField.zero(dim),
         lambda: PolyDifferentialForm(dim, {((0, 1), (1, 2)): 1}),
         lambda: RMatrix(dim, {}),
+        lambda: radial_field(dim),
     ]
     for build in builds:
         with pytest.raises(TypeError):
             build()
+
+
+_F = pv("x1*d1 + x2*d2", 2)
+_W = to_form(pv("x1*d1", 2))
+
+
+@pytest.mark.parametrize("combine", [
+    lambda: _F - _W,
+    lambda: _W + _F,
+    lambda: wedge(_F, _W),
+    lambda: wedge_forms(_W, _F),
+    lambda: schouten(_F, _W),
+    lambda: schouten(_W, _F),
+], ids=["difference", "sum", "wedge", "wedge_forms", "schouten", "schouten-reversed"])
+def test_a_field_and_a_form_do_not_combine(combine):
+    """``dx2`` is not read as ``d2``: mixing the two kinds names both types,
+    also where the dimensions would not match either."""
+    assert _W == PolyDifferentialForm(2, {((1, 0), (2,)): 1})
+    with pytest.raises(TypeError) as info:
+        combine()
+    assert "PolyVectorField" in str(info.value) and "PolyDifferentialForm" in str(info.value)
+
+
+def test_schouten_takes_no_forms_and_kinds_are_checked_before_dimensions():
+    with pytest.raises(TypeError):
+        _F + to_form(pv("x1*d1", 3))
+    with pytest.raises(TypeError, match="PolyDifferentialForm"):
+        schouten(_W, _W)
+    with pytest.raises(TypeError, match="int"):
+        wedge(_F, 3)
+
+
+@pytest.mark.parametrize("build", [lambda: radial_field(0), lambda: radial_field(-1),
+                                   lambda: euler(0, 1, 0)], ids=["0", "-1", "euler"])
+def test_radial_field_refuses_a_dimension_below_one(build):
+    with pytest.raises(DimensionError, match=r"^ambient dimension must be >= 1, got -?\d+$"):
+        build()

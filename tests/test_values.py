@@ -30,8 +30,9 @@ from polyvec import (
     cubic3_catalog,
     decompose,
     parse_expr,
+    quad4_catalog,
 )
-from util import CASE_A12, pv
+from util import CASE_A12, QUAD4_NILPOTENT, pv
 
 
 def _field():
@@ -82,9 +83,6 @@ OTHERS = {
     RMatrix: lambda: RMatrix(2, {((1, 1), (2, 2)): 1}),
 }
 
-# Types whose values hold an unhashable field (a constraint is a dict).
-UNHASHABLE = {QuadraticConstraintSet}
-
 TYPES = pytest.mark.parametrize("cls", list(VALUES), ids=lambda cls: cls.__name__)
 
 
@@ -99,7 +97,7 @@ def test_values_compare_by_their_fields(cls):
     assert a is not b and a == b and not a != b
     assert a != other and other != a
     assert a != tuple(_fields(a)) and a != None  # noqa: E711
-    if cls not in UNHASHABLE and cls is not JacobiPair:  # see test_jacobi_pairs_hash
+    if cls is not JacobiPair:  # see test_jacobi_pairs_hash
         assert hash(a) == hash(b)
         assert len({a, b, other}) == 2
 
@@ -154,7 +152,8 @@ def test_value_reprs():
     assert repr(parse_expr("1/2*x1*d2", 2)) == (
         "ExpressionAST(dim=2, terms=((Fraction(1, 2), (1, 0), (2,)),))")
     assert repr(QuadraticConstraintSet(("c1",), ({(0, 0): Fraction(2)},))) == (
-        "QuadraticConstraintSet(parameters=('c1',), constraints=({(0, 0): Fraction(2, 1)},))")
+        "QuadraticConstraintSet(parameters=('c1',), "
+        "constraints=(mappingproxy({(0, 0): Fraction(2, 1)}),))")
     assert repr(_field()) == "PolyVectorField(dim=3, 2/3*x2^1*d2/\\d3 + 1/2*x1^1*x2^1*d1/\\d2)"
     assert repr(PolyDifferentialForm(2, {((0, 1), (1,)): -1})) == (
         "PolyDifferentialForm(dim=2, -1*x2^1*dx1)")
@@ -199,6 +198,20 @@ def test_jacobi_pairs_hash():
     assert len({pair, VALUES[JacobiPair][0](), OTHERS[JacobiPair]()}) == 2
 
 
+def test_quadratic_constraint_sets_are_frozen_and_hash():
+    case = quad4_catalog(QUAD4_NILPOTENT)
+    assert case.constraints.constraints
+    assert hash(case) == hash(quad4_catalog(QUAD4_NILPOTENT))
+    with pytest.raises(TypeError):
+        case.constraints.constraints[0][(0, 0)] = 5
+    names, raw = ["c1", "c2"], {(0, 1): Fraction(1, 2)}
+    value = QuadraticConstraintSet(names, [raw])
+    names.append("c3")
+    raw[(0, 1)] = 5
+    assert value.parameters == ("c1", "c2") and value.constraints == ({(0, 1): Fraction(1, 2)},)
+    assert hash(value) == hash(QuadraticConstraintSet(("c1", "c2"), ({(0, 1): Fraction(1, 2)},)))
+
+
 def test_jacobi_pair_and_r_matrix_reprs():
     lam, e_field = pv("x1*d1/\\d2", 3), pv("d3", 3)
     assert repr(JacobiPair(lam, e_field)) == f"JacobiPair(lam={lam!r}, e_field={e_field!r})"
@@ -213,8 +226,7 @@ def test_values_copy_and_pickle(cls, how):
     again = {"copy": copy.copy, "deepcopy": copy.deepcopy,
              "pickle": lambda v: pickle.loads(pickle.dumps(v))}[how](value)
     assert type(again) is cls and again == value
-    if cls not in UNHASHABLE:
-        assert hash(again) == hash(value)
+    assert hash(again) == hash(value)
     assert repr(again) == repr(value)
 
 
