@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from polyvec import (
     BiDegree,
+    DegenerateNormalizerError,
     HomogeneityError,
     ParityError,
     PolyVectorField,
@@ -142,6 +144,33 @@ def test_bracket_parts_brackets_each_pair_once(monkeypatch):
 def test_bracket_parts_rejects_mixed_input():
     with pytest.raises(HomogeneityError):
         bracket_parts(pv("x1*d2 + x1^2*d3", 3), pv("d1", 3))
+
+
+_PAIR_NEEDS = "bracket decomposition needs n + k - l != 0 for both operands"
+_SELF_NEEDS = "self-bracket decomposition needs n + k - l != 0"
+
+
+@pytest.mark.parametrize("parts, message", [
+    (lambda: bracket_parts(pv("d1/\\d2/\\d3", 3), pv("x1*d1", 3)), _PAIR_NEEDS),
+    (lambda: bracket_parts(pv("x1*d1", 3), pv("d1/\\d2/\\d3", 3)), _PAIR_NEEDS),
+    (lambda: self_bracket_parts(pv("d1/\\d2", 2)), _SELF_NEEDS),
+], ids=["top-left", "top-right", "self-top"])
+def test_bracket_parts_refuse_a_degenerate_normalizer(parts, message):
+    """An operand with n + k - l = 0 has no e^(k,l): the parts are refused,
+    although the bracket itself decomposes without complaint."""
+    with pytest.raises(DegenerateNormalizerError, match=f"^{re.escape(message)}$"):
+        parts()
+
+
+@pytest.mark.parametrize("parts", [
+    lambda: bracket_parts(PolyVectorField.zero(3), pv("d1/\\d2/\\d3", 3)),
+    lambda: bracket_parts(pv("x1*d2 + x1^2*d3", 3), PolyVectorField.zero(3)),
+    lambda: self_bracket_parts(PolyVectorField.zero(2)),
+], ids=["zero-left", "zero-right", "self-zero"])
+def test_bracket_parts_of_a_zero_operand_are_zero(parts):
+    """A zero operand gives (0, 0) before the other operand is looked at."""
+    tracefree, trace = parts()
+    assert tracefree.is_zero() and trace.is_zero()
 
 
 def test_self_bracket_fixtures():
