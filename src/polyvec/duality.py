@@ -14,8 +14,8 @@ from .fields import (
     _MASK,
     PolyVectorField,
     _add_products,
-    _check_dim,
     _derivative_buckets,
+    _operands,
     _shift,
     _SparseTerms,
     _Value,
@@ -55,6 +55,7 @@ class PolyDifferentialForm(_SparseTerms):
 
 def wedge_forms(a, b):
     """Wedge product of forms, through the same kernel as ``fields.wedge``."""
+    _operands("wedge_forms", (a, PolyDifferentialForm), (b, PolyDifferentialForm))
     return a._wedge(b)
 
 
@@ -70,6 +71,7 @@ def to_form(u):
     """Duality against the volume form: an l-vector becomes an (n-l)-form via
     Psi(U)(W) = Psi(U /\\ W).  Linear and invertible.  The complement is
     taken once per index group."""
+    _operands("to_form", (u, PolyVectorField))
     nums = {}
     for idx, group in u.nums.items():
         sign, comp = _complement(idx, u.dim)
@@ -81,6 +83,7 @@ def from_form(omega):
     """Inverse of :func:`to_form`: a covariant tuple K goes back to its
     complement J with the sign of (J, K), which differs from that of (K, J)
     by (-1)^(|J| |K|)."""
+    _operands("from_form", (omega, PolyDifferentialForm))
     nums = {}
     for idx, group in omega.nums.items():
         sign, comp = _complement(idx, omega.dim)
@@ -95,6 +98,7 @@ def exterior_derivative(omega):
     squares to zero.  It reads the derivatives d/dx_j of the terms from
     ``_derivative_buckets``, so dx_j merges once per variable and index
     tuple."""
+    _operands("exterior_derivative", (omega, PolyDifferentialForm))
     totals = {}
     for j, bucket in _derivative_buckets(omega.dim, omega.nums).items():
         for idx, derivatives in bucket.items():
@@ -112,7 +116,7 @@ def interior_product(x, omega):
     """Contraction of a polynomial vector field into a form: the slot dx_j
     at position t of an index tuple meets the d_j component of ``x`` with
     the sign (-1)^t, once per index tuple and slot."""
-    _check_dim(x, omega)
+    _operands("interior_product", (x, PolyVectorField), (omega, PolyDifferentialForm))
     if any(len(idx) != 1 for idx in x.nums):
         raise DimensionError("interior product needs a vector field")
     grouped = {}
@@ -128,6 +132,7 @@ def interior_product(x, omega):
 
 def lie_derivative_form(x, omega):
     """Cartan formula L_X = d i_X + i_X d."""
+    _operands("lie_derivative_form", (x, PolyVectorField), (omega, PolyDifferentialForm))
     return exterior_derivative(interior_product(x, omega)) + interior_product(
         x, exterior_derivative(omega))
 
@@ -141,6 +146,7 @@ def trace_d(u):
     fields.  Squares to zero.  It accumulates the integer numerators over
     ``u``'s denominator.
     """
+    _operands("trace_d", (u, PolyVectorField))
     dim = u.dim
     totals = {}
     for idx, group in u.nums.items():

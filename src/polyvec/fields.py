@@ -236,10 +236,17 @@ def _ambient_dim(dim):
     return dim
 
 
-def _check_dim(a, b):
-    """Raise ``DimensionError`` unless ``a`` and ``b`` have one ``dim``."""
-    if a.dim != b.dim:
-        raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
+def _operands(name, *operands):
+    """Raise ``TypeError`` unless each ``(value, kind)`` in ``operands`` has
+    a value of its kind, then ``DimensionError`` unless the values share one
+    ``dim``."""
+    for value, kind in operands:
+        if not isinstance(value, kind):
+            raise TypeError(f"{name} takes {kind.__name__}, not {type(value).__name__}")
+    dim = operands[0][0].dim
+    for value, _ in operands[1:]:
+        if value.dim != dim:
+            raise DimensionError(f"dimension mismatch: {dim} vs {value.dim}")
 
 
 def _add_products(sums, left, right, negate):
@@ -355,18 +362,11 @@ class _SparseTerms(_Value):
     def zero(cls, dim):
         return cls(dim, {})
 
-    def _check_dim(self, other):
-        """Raise ``TypeError`` unless ``other`` has the type of ``self`` (a
-        field and a form never combine), then ``DimensionError`` unless the
-        two have one ``dim``."""
-        if type(other) is not type(self):
-            raise TypeError(
-                f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        _check_dim(self, other)
-
     def _combined(self, other, sign):
-        """``self + sign * other`` over the lcm of the two denominators."""
-        self._check_dim(other)
+        """``self + sign * other`` over the lcm of the two denominators; a
+        field and a form never combine."""
+        kind = type(self)
+        _operands("a sum" if sign > 0 else "a difference", (self, kind), (other, kind))
         da, db = self.den, other.den
         den = da if da == db else math.lcm(da, db)
         fa, fb = den // da, sign * (den // db)
@@ -418,9 +418,8 @@ class _SparseTerms(_Value):
         ``merge_indices`` runs once per pair of index tuples, the
         packed keys of each pair of terms add with one ``+``, and the totals
         over the product of the two denominators are normalised once at the
-        end.
+        end.  The callers check the operands.
         """
-        self._check_dim(other)
         grouped = {}
         for ia, left in self.nums.items():
             for ib, right in other.nums.items():
@@ -520,6 +519,7 @@ def _sort_with_sign(idx):
 def wedge(u, v):
     """Wedge product; adds bidegrees and is graded-commutative in the
     natural degree: ``u /\\ v = (-1)^(l l') v /\\ u``."""
+    _operands("wedge", (u, PolyVectorField), (v, PolyVectorField))
     return u._wedge(v)
 
 
@@ -598,9 +598,7 @@ def schouten(u, v):
     packed keys of each pair add with one ``+``, and the totals over the
     product of the two denominators are normalised once at the end.
     """
-    if type(u) is not PolyVectorField:
-        raise TypeError(f"the Schouten bracket takes PolyVectorField, not {type(u).__name__}")
-    u._check_dim(v)
+    _operands("the Schouten bracket", (u, PolyVectorField), (v, PolyVectorField))
     grouped = {}
     _slot_derivatives(grouped, u.nums, _derivative_buckets(u.dim, v.nums), False)
     _slot_derivatives(grouped, v.nums, _derivative_buckets(u.dim, u.nums), True)
@@ -629,6 +627,7 @@ def homogeneous_components(u):
     Returns a mapping BiDegree -> field whose values sum back to ``u``; the
     zero field yields the empty mapping.
     """
+    _operands("homogeneous_components", (u, PolyVectorField))
     buckets = {}
     for idx, group in u.nums.items():
         for packed, c in group.items():
@@ -682,7 +681,7 @@ class LinearMatrix(_Value):
         return LinearMatrix(inv)
 
     def matmul(self, other):
-        _check_dim(self, other)
+        _operands("matmul", (self, LinearMatrix), (other, LinearMatrix))
         return LinearMatrix(linalg.mat_mul(
             [list(r) for r in self.entries], [list(r) for r in other.entries]))
 
@@ -728,7 +727,7 @@ def pushforward(l_matrix, u):
     expanded in integers and kept for the call, each built from its longest
     prefix already expanded; multiplying by x_t adds the packed key of x_t.
     """
-    _check_dim(l_matrix, u)
+    _operands("pushforward", (l_matrix, LinearMatrix), (u, PolyVectorField))
     n = u.dim
     inv, det = linalg.inverse_and_determinant(l_matrix.entries)
     if inv is None:
@@ -818,6 +817,7 @@ def skew_component(u, lower, upper):
     ``lower`` is a multiset of coordinate indices (1-based), ``upper`` a tuple
     of distinct partial indices in any order.
     """
+    _operands("skew_component", (u, PolyVectorField))
     slot = _skew_slot(u.dim, lower, upper)
     if slot is None:
         return Fraction(0)

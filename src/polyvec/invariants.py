@@ -1,6 +1,10 @@
 """The graded identity suite: the exact identities the library's results
 rest on, written once for ``polyvec selftest`` and the test suite.
 
+The paper's closed formulas for the trace-free part and the trace of a
+bracket live here as ``closed_form_parts`` and ``closed_form_self_parts``,
+checked against the decomposition of the bracket.
+
 Each check takes homogeneous fields and returns the names of the identities
 that fail on them, so an empty list means every identity holds.  Nothing
 here asserts: a check gives the same answer under ``python -O``.
@@ -13,7 +17,8 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .fields import PolyVectorField, pushforward, schouten, wedge
+from .errors import DegenerateNormalizerError
+from .fields import PolyVectorField, pushforward, radial_field, schouten, wedge
 from .duality import dim_irrep, exterior_derivative, from_form, to_form, trace_d
 from .decomposition import bracket_parts, decompose, self_bracket_parts
 from .classifier import monomial_exponents
@@ -157,25 +162,91 @@ def pushforward_failures(l_matrix, uf, vf):
     ])
 
 
+def _euler_term(scalar, field, n, k2, ell2):
+    """scalar * (field /\\ e^(k2,l2)), building the radial factor lazily so
+    vanishing terms never hit a degenerate normalizer."""
+    if not scalar or field.is_zero():
+        return PolyVectorField.zero(n)
+    if n + k2 - ell2 == 0:
+        raise DegenerateNormalizerError(
+            f"nonzero term requires e^({k2},{ell2}) in dimension {n}")
+    return wedge(field, radial_field(n).scale(Fraction(scalar, n + k2 - ell2)))
+
+
+def closed_form_parts(a, b):
+    """Trace-free part and trace of [A, B] from the paper's closed formulas,
+    for homogeneous A and B with n + k - l != 0 each.
+
+    For A in P^(k,l), B in P^(k',l') with D = k - l, D' = k' - l' and
+    e'' = e^(k+k', l+l'):
+
+        [A,B]_0 = [A0,B0] + D'/(n+D) DA/\\B0 + (-1)^l' D/(n+D') A0/\\DB
+                  + D/(n+D') [A0,DB]/\\e'' - (-1)^l' D'/(n+D) [DA,B0]/\\e''
+
+        D[A,B] = [A0,DB] - (-1)^l' [DA,B0]
+                 - (n+D'')(D-D')/((n+D)(n+D')) (DA/\\DB + (-1)^l' [DA,DB]/\\e'')
+
+    The e''-term coefficients D/(n+D') and D'/(n+D) are forced by expanding
+    [A,B] - D[A,B] /\\ e''.
+    """
+    n = a.dim
+    a0, _, da = parts_a = decompose(a)
+    b0, _, db = parts_b = decompose(b)
+    (ka, la), (kb, lb) = parts_a.bidegree, parts_b.bidegree
+    d1, d2 = ka - la, kb - lb
+    k2, ell2 = ka + kb, la + lb
+    sgn = -1 if lb % 2 else 1
+    c_ab, c_ba = Fraction(d2, n + d1), Fraction(d1, n + d2)
+    bracket_a0_db = schouten(a0, db)
+    bracket_da_b0 = schouten(da, b0)
+    tracefree = schouten(a0, b0)
+    tracefree += wedge(da, b0).scale(c_ab)
+    tracefree += wedge(a0, db).scale(sgn * c_ba)
+    tracefree += _euler_term(c_ba, bracket_a0_db, n, k2, ell2)
+    tracefree += _euler_term(-sgn * c_ab, bracket_da_b0, n, k2, ell2)
+    trace = bracket_a0_db - bracket_da_b0 if sgn > 0 else bracket_a0_db + bracket_da_b0
+    c_mix = Fraction((n + d1 + d2) * (d1 - d2), (n + d1) * (n + d2))
+    trace -= wedge(da, db).scale(c_mix)
+    trace -= _euler_term(c_mix * sgn, schouten(da, db), n, k2, ell2)
+    return tracefree, trace
+
+
+def closed_form_self_parts(a):
+    """[A, A] from the paper's closed formulas, for homogeneous A of even
+    vector degree with n + k - l != 0:
+
+        [A,A]_0 = [A0,A0] + 2(k-l)/(n+k-l) (DA/\\A0 - [DA,A0]/\\e^(2k,2l))
+        D[A,A]  = -2 [DA, A0]
+    """
+    n = a.dim
+    a0, _, da = parts = decompose(a)
+    k, ell = parts.bidegree
+    c = Fraction(2 * (k - ell), n + k - ell)
+    bracket_da_a0 = schouten(da, a0)
+    tracefree = schouten(a0, a0)
+    tracefree += wedge(da, a0).scale(c)
+    tracefree += _euler_term(-c, bracket_da_a0, n, 2 * k, 2 * ell)
+    trace = bracket_da_a0.scale(-2)
+    return tracefree, trace
+
+
 def pair_failures(a, b):
-    """``bracket_parts(a, b)`` against the decomposition of the bracket, for
-    homogeneous a and b with n + k - l != 0 each."""
-    direct = decompose(schouten(a, b))
+    """The closed formulas for [a, b] against ``bracket_parts``, the
+    decomposition of the bracket, for homogeneous a and b with n + k - l != 0
+    each."""
     return _failed([
-        ("bracket_parts = decompose(schouten)",
-         bracket_parts(a, b) == (direct.tracefree, direct.trace)),
+        ("closed formulas = decompose(schouten)", closed_form_parts(a, b) == bracket_parts(a, b)),
     ])
 
 
 def self_bracket_failures(a):
-    """``self_bracket_parts(a)`` against the decomposition of [a, a] and
-    against ``bracket_parts(a, a)``, for homogeneous a of even vector degree
-    with n + k - l != 0."""
-    parts = self_bracket_parts(a)
-    direct = decompose(schouten(a, a))
+    """The closed formulas for [a, a] against ``self_bracket_parts``, the
+    decomposition of the bracket, and against the closed formulas for a
+    pair, for homogeneous a of even vector degree with n + k - l != 0."""
+    parts = closed_form_self_parts(a)
     return _failed([
-        ("self_bracket_parts = decompose(schouten)", parts == (direct.tracefree, direct.trace)),
-        ("self_bracket_parts = bracket_parts", parts == bracket_parts(a, a)),
+        ("closed self-bracket formulas = decompose(schouten)", parts == self_bracket_parts(a)),
+        ("closed self-bracket formulas = closed formulas", parts == closed_form_parts(a, a)),
     ])
 
 

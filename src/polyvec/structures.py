@@ -23,8 +23,8 @@ from .fields import (
     _Value,
     _add_products,
     _check_degrees,
-    _check_dim,
     _frac,
+    _operands,
     _unpack,
     euler,
     schouten,
@@ -41,7 +41,7 @@ class JacobiPair(_Value):
     __slots__ = _fields = ("lam", "e_field")
 
     def __init__(self, lam, e_field):
-        _check_dim(lam, e_field)
+        _operands("JacobiPair", (lam, PolyVectorField), (e_field, PolyVectorField))
         lam_degs = lam.vector_degrees()
         if len(lam_degs) > 1:
             raise ParityError("the even member must have a single vector degree")
@@ -99,7 +99,8 @@ class RMatrix(_Value):
         return type(self), (self.dim, dict(self.coefficients))
 
 
-def _even_degrees(p):
+def _even_degrees(name, p):
+    _operands(name, (p, PolyVectorField))
     for ell in p.vector_degrees():
         if ell % 2:
             raise ParityError(f"vector degree {ell} is odd")
@@ -107,7 +108,7 @@ def _even_degrees(p):
 
 def is_poisson(p):
     """[P, P] = 0 for an even poly-vector field (generalized Poisson)."""
-    _even_degrees(p)
+    _even_degrees("is_poisson", p)
     return schouten(p, p).is_zero()
 
 
@@ -118,7 +119,7 @@ def poisson_component_test(a):
     [A0, A0] = 2(l-k)/(n+k-l) DA /\\ A0 is equivalent to [A, A] = 0; for
     k = l the conditions are [A0, A0] = 0 and [DA, A0] = 0.
     """
-    _even_degrees(a)
+    _even_degrees("poisson_component_test", a)
     if a.is_zero():
         return True
     k, ell = a.bidegree()
@@ -180,6 +181,7 @@ def generic_rank(p):
     integer totals through the product loop ``_add_products``, with the
     degree-field check at each level and no field built on the way.
     """
+    _operands("generic_rank", (p, PolyVectorField))
     for ell in p.vector_degrees():
         if ell != 2:
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
@@ -379,7 +381,7 @@ def are_associated(p, pair):
         P0 = L0  and  E0 = (k - 2l)/(n + k - 2l) (DL - DP).
     """
     lam = pair.lam
-    _check_dim(p, lam)
+    _operands("are_associated", (p, PolyVectorField), (lam, PolyVectorField))
     if not p.is_zero() and not lam.is_zero() and p.bidegree() != lam.bidegree():
         raise DimensionError("structures must share the bidegree (k, 2l)")
     deg = p.bidegree() if not p.is_zero() else lam.bidegree()

@@ -21,6 +21,7 @@ from polyvec import (
     wedge,
 )
 from polyvec.invariants import (
+    closed_form_parts,
     pair_failures,
     random_even_fields,
     random_nonzero,
@@ -122,20 +123,36 @@ def test_bracket_parts_matches_direct_route():
         assert pair_failures(a, b) == []
 
 
-def test_bracket_parts_brackets_each_pair_once(monkeypatch):
-    from polyvec import decomposition
-    a = pv("x1^2*d1/\\d3 + 2*x1*x2*d2/\\d3", 3)
-    b = pv("x1*x3*d3 - 1/3*x2^2*d1", 3)
-    assert not trace_d(a).is_zero() and not trace_d(b).is_zero()
-    original = decomposition.schouten
+def _count_schouten(monkeypatch, module):
+    """Record the operands of every ``schouten`` call made through ``module``."""
+    original = module.schouten
     calls = []
 
     def counting(u, v):
         calls.append((u, v))
         return original(u, v)
 
-    monkeypatch.setattr(decomposition, "schouten", counting)
+    monkeypatch.setattr(module, "schouten", counting)
+    return calls
+
+
+_TRACED_PAIR = (pv("x1^2*d1/\\d3 + 2*x1*x2*d2/\\d3", 3), pv("x1*x3*d3 - 1/3*x2^2*d1", 3))
+
+
+def test_bracket_parts_brackets_each_pair_once(monkeypatch):
+    from polyvec import decomposition
+    a, b = _TRACED_PAIR
+    assert not trace_d(a).is_zero() and not trace_d(b).is_zero()
+    calls = _count_schouten(monkeypatch, decomposition)
     bracket_parts(a, b)
+    assert calls == [(a, b)]
+
+
+def test_closed_form_parts_brackets_each_pair_once(monkeypatch):
+    from polyvec import invariants
+    a, b = _TRACED_PAIR
+    calls = _count_schouten(monkeypatch, invariants)
+    closed_form_parts(a, b)
     assert len(calls) == 4
     assert len(set(calls)) == 4
     assert pair_failures(a, b) == []

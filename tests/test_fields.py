@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import polyvec
 from polyvec import (
     BiDegree,
     DegenerateNormalizerError,
@@ -272,6 +273,44 @@ def test_schouten_takes_no_forms_and_kinds_are_checked_before_dimensions():
         schouten(_W, _W)
     with pytest.raises(TypeError, match="int"):
         wedge(_F, 3)
+
+
+_FIELD, _FORM = "PolyVectorField", "PolyDifferentialForm"
+_PAIR = JacobiPair(pv("x1*d1/\\d2", 2), pv("d1", 2))
+_WRONG_KINDS = [
+    ("to_form", (_W,), _FIELD),
+    ("from_form", (_F,), _FORM),
+    ("trace_d", (_W,), _FIELD),
+    ("exterior_derivative", (_F,), _FORM),
+    ("interior_product", (_W, _W), _FIELD),
+    ("interior_product", (_F, _F), _FORM),
+    ("lie_derivative_form", (_F, _F), _FORM),
+    ("pushforward", (LinearMatrix.identity(3), _W), _FIELD),
+    ("homogeneous_components", (_W,), _FIELD),
+    ("skew_component", (_W, (1,), (2,)), _FIELD),
+    ("wedge", (_W, _W), _FIELD),
+    ("wedge_forms", (_F, _F), _FORM),
+    ("is_poisson", (_W,), _FIELD),
+    ("poisson_component_test", (_W,), _FIELD),
+    ("decompose", (_W,), _FIELD),
+    ("generic_rank", (_W,), _FIELD),
+    ("bracket_parts", (_W, _W), _FIELD),
+    ("self_bracket_parts", (_W,), _FIELD),
+    ("JacobiPair", (_W, _F), _FIELD),
+    ("are_associated", (_W, _PAIR), _FIELD),
+    ("matmul", (LinearMatrix([[1]]), _F), "LinearMatrix"),
+]
+
+
+@pytest.mark.parametrize("name, operands, kind", _WRONG_KINDS,
+                         ids=[f"{name}-{len(ops)}-{kind}" for name, ops, kind in _WRONG_KINDS])
+def test_operations_refuse_the_wrong_kind(name, operands, kind):
+    """Each operation names itself, the kind it takes and the first operand
+    of another kind, before it looks at a dimension."""
+    got = _FORM if kind == _FIELD else _FIELD
+    call = LinearMatrix.matmul if name == "matmul" else getattr(polyvec, name)
+    with pytest.raises(TypeError, match=f"^{name} takes {kind}, not {got}$"):
+        call(*operands)
 
 
 @pytest.mark.parametrize("build", [lambda: radial_field(0), lambda: radial_field(-1),

@@ -28,7 +28,7 @@ from polyvec.classifier import (
 from polyvec.cli import _VAR_ALIASES, MAX_DEGREE, ExpressionAST, _digit_limit_error
 from polyvec.duality import exterior_derivative
 from polyvec.errors import DimensionError, ParseError, PolyvecError
-from polyvec.fields import _sort_with_sign, merge_indices
+from polyvec.fields import _operands, _sort_with_sign, merge_indices
 
 
 def _frac(x):
@@ -185,7 +185,7 @@ def schouten_pairwise(u, v):
     """Reference Schouten bracket: every term pair, one Fraction product per
     pair, each partial slot probed against the other monomial.  Same
     contract as ``fields.schouten``; kept only as an oracle."""
-    u._check_dim(v)
+    _operands("the Schouten bracket", (u, PolyVectorField), (v, PolyVectorField))
     terms = {}
     for (ea, ia), ca in u.terms.items():
         p = len(ia)
@@ -228,7 +228,7 @@ def wedge_pairwise(u, v):
     """Reference wedge product: every term pair, one Fraction product per
     pair.  Same contract as ``fields._SparseTerms._wedge``; kept only as an
     oracle."""
-    u._check_dim(v)
+    _operands("wedge", (u, type(u)), (v, type(u)))
     terms = {}
     for (ea, ia), ca in u.terms.items():
         for (eb, ib), cb in v.terms.items():
@@ -349,7 +349,7 @@ def _from_tuple_totals(cls, dim, totals, den):
 
 def wedge_by_tuples(u, v):
     """``_SparseTerms._wedge`` on exponent tuples."""
-    u._check_dim(v)
+    _operands("wedge", (u, type(u)), (v, type(u)))
     totals, merges = {}, {}
     vs = tuple_nums(v).items()
     for (ea, ia), ca in tuple_nums(u).items():
@@ -406,7 +406,7 @@ def _slot_derivatives_by_tuples(totals, merges, terms, buckets, twist):
 
 def schouten_by_tuples(u, v):
     """``fields.schouten`` on exponent tuples."""
-    u._check_dim(v)
+    _operands("the Schouten bracket", (u, PolyVectorField), (v, PolyVectorField))
     us, vs = tuple_nums(u).items(), tuple_nums(v).items()
     totals, merges = {}, {}
     _slot_derivatives_by_tuples(totals, merges, us, _derivative_buckets_by_tuples(u.dim, vs),
