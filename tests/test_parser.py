@@ -3,6 +3,7 @@
 same field, or the same error with the same position.  Each drawn text is
 parsed at n = 1..4."""
 
+import random
 import sys
 
 from hypothesis import example, given, settings, strategies as st
@@ -54,3 +55,40 @@ def outcome(parse, text, n):
 def test_parse_field_matches_the_token_parser(text):
     for n in range(1, 5):
         assert outcome(parse_field, text, n) == outcome(parse_field_by_tokens, text, n), n
+
+
+def seeded_sums(n, count):
+    """``count`` seeded sums at dimension ``n`` that mix signs, integer,
+    fractional and zero coefficients, powers, repeated variables and
+    unsorted, repeated partials.  Two fixed texts lead: a sweep through every
+    variable and partial, and a term whose degree passes the cap at a bare
+    variable.  About one text in five names an index past ``n`` or a term
+    degree past the cap, so errors and their positions are compared too."""
+    rng = random.Random(f"parser-sums-{n}")
+    texts = [" + ".join(f"{m}/{m + 1}*x{m}^{m % 4 + 1}*x{n + 1 - m}*d{m}/\\d{n + 1 - m}"
+                        for m in range(1, n + 1)), f"x{n}^998*x1*x{n}*d1"]
+    for _ in range(count):
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            factors = [rng.choice(["", "3", "0", "7/4", "2/6", "123456789012345678901"])]
+            for m in rng.choices(range(1, n + 1), k=rng.randint(0, 4)):
+                factors.append(f"x{m}" + rng.choice(["", "", "^2", "^7", "^0"]))
+            partials = [f"d{j}" for j in rng.choices(range(1, n + 1), k=rng.randint(0, 3))]
+            if rng.random() < 0.03:
+                factors.append(f"x{n + 1}")
+            if rng.random() < 0.03:
+                factors.append(f"x{rng.randint(1, n)}^999*x{rng.randint(1, n)}^2")
+            body = "*".join(f for f in factors if f) or "1"
+            terms.append(rng.choice([" + ", " - ", "-"]) + "*".join(
+                f for f in (body, "/\\".join(partials)) if f))
+        texts.append("".join(terms).removeprefix(" + "))
+    return texts
+
+
+def test_parse_field_matches_the_token_parser_at_benchmark_dimensions():
+    # the packed key's field offsets depend on n; the rank workload parses
+    # at n = 5..7 and brackets at n = 8
+    for n in (5, 6, 7, 8, 40):
+        for text in seeded_sums(n, 100):
+            assert outcome(parse_field, text, n) == outcome(parse_field_by_tokens, text, n), (
+                n, text)
