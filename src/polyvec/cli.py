@@ -9,7 +9,7 @@ Grammar for field expressions::
             | PARTIAL                d1..dn (+ aliases)
 
 ``/\\`` is the wedge between partial factors; ``*`` is the commutative
-product.  The parser sums the terms as written and ``PolyVectorField``
+product.  The parser sums the terms as written and ``fields._canonical``
 canonicalizes them once: wedge order is sorted with its sign, so ``d2/\\d1``
 parses to minus ``d1/\\d2``, and a repeated partial or a zero sum drops
 out.  Coordinate aliases follow the printed dictionaries: (x, y, z) in
@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from . import __version__, classifier, invariants
 from .errors import DimensionError, DomainError, ParseError, PolyvecError, PreconditionError
-from .fields import LinearMatrix, PolyVectorField, _unpack, _Value, schouten, wedge
+from .fields import (LinearMatrix, PolyVectorField, _ambient_dim, _canonical, _shift, _unpack,
+                     _Value, schouten, wedge)
 from .duality import dim_irrep, trace_d
 from .decomposition import decompose
 from .structures import (
@@ -56,9 +57,9 @@ MAX_DEGREE = 1_000
 _VAR_ALIASES = {3: ("x", "y", "z"), 4: ("t", "x", "y", "z")}
 
 # Largest accepted number of terms read times the dimension, for field
-# expressions and for rmatrix --terms.  Each term gets an exponent tuple of
-# length n, so this bounds the parsers' work and memory.  Catalog and
-# benchmark inputs stay below 400.
+# expressions and for rmatrix --terms.  Each term gets a packed key of n
+# fields or an exponent tuple of length n, so this bounds the parsers' work
+# and memory.  Catalog and benchmark inputs stay below 400.
 MAX_TERM_CELLS = 1_000_000
 
 # One match per token: an integer, a name, the wedge or any other non-space
@@ -108,10 +109,12 @@ def parse_expr(text, n):
 def parse_field(text, n):
     """Parse a field expression over x1..xn / d1..dn (grammar above).
 
-    One loop over the tokens sums each term's coefficient under its key as
-    written, partials in the order read; ``PolyVectorField`` is the only
-    canonicalizer: it orders the partials with their sign and drops a
-    repeated partial and a zero sum.
+    One loop over the tokens sums each term's coefficient under its partials
+    in the order read and its packed monomial key: a name resolves to the
+    key of its variable, and ``xm^p`` adds ``p`` times that key, degree
+    field included.  ``fields._canonical``, which the ``PolyVectorField``
+    constructor reaches too, is the only canonicalizer: it orders the
+    partials with their sign and drops a repeated partial and a zero sum.
     """
     if not text.strip():
         raise ParseError("empty expression", 0)
@@ -122,7 +125,7 @@ def parse_field(text, n):
         raise _parse_error(text, 0, "token exceeds the digit limit")
     tokens.append("")  # the end
     letters = _VAR_ALIASES.get(n, ())
-    names = {name: (m, False) for m, name in enumerate(letters, 1)}
+    names = {name: ((1 << _shift(n, m - 1)) + 1, False) for m, name in enumerate(letters, 1)}
     names.update({"d" + name: (m, True) for m, name in enumerate(letters, 1)})
     raw = {}
     cells = 0
@@ -133,7 +136,7 @@ def parse_field(text, n):
         if cells > MAX_TERM_CELLS:
             raise _parse_error(
                 text, i, f"terms times dimension exceed the limit of {MAX_TERM_CELLS}")
-        coeff, exponents, partials, degree = sign, [0] * n, [], 0
+        coeff, packed, partials, degree = sign, 0, [], 0
         while True:
             token = tokens[i]
             if token.isdecimal():
@@ -159,11 +162,12 @@ def parse_field(text, n):
                     if not 1 <= m <= n:
                         raise _parse_error(
                             text, i, f"index {m} out of range for dimension {n}")
-                    ref = names[token] = (m, token[0] == "d")
-                m, is_partial = ref
+                    ref = names[token] = ((m, True) if token[0] == "d" else
+                                          ((1 << _shift(n, m - 1)) + 1, False))
+                value, is_partial = ref
                 at, i = i, i + 1
                 if is_partial:
-                    partials.append(m)
+                    partials.append(value)
                 else:
                     power = 1
                     if tokens[i] == "^":
@@ -172,7 +176,7 @@ def parse_field(text, n):
                                 text, i + 1, "expected an integer exponent after '^'")
                         power = int(tokens[i + 1])
                         i += 2
-                    exponents[m - 1] += power
+                    packed += power * value
                     degree += power
                     if degree > MAX_DEGREE:
                         raise _parse_error(
@@ -180,15 +184,15 @@ def parse_field(text, n):
             if tokens[i] != "*" and tokens[i] != "/\\":
                 break
             i += 1
-        key = (tuple(exponents), tuple(partials))
-        raw[key] = raw.get(key, 0) + coeff
+        group = raw.setdefault(tuple(partials), {})
+        group[packed] = group.get(packed, 0) + coeff
         if not tokens[i]:
             break
         if tokens[i] not in ("+", "-"):
             raise _parse_error(text, i, f"expected '+' or '-', found {tokens[i]!r}")
         sign = -1 if tokens[i] == "-" else 1
         i += 1
-    return PolyVectorField(n, raw)
+    return PolyVectorField._wrap(_ambient_dim(n), *_canonical(raw))
 
 
 def _digit_limit_error():

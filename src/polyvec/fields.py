@@ -29,7 +29,8 @@ fields, and d/dx_m subtracts the key of x_m.  A degree past the bound raises
 ``DegreeLimitError``: the constructor checks each key, and ``_normalised``
 checks the degree field of each key of a result through ``_check_degrees``.
 ``_packer`` and ``_unpack`` are the only conversions between tuples and
-packed keys.
+packed keys; ``cli.parse_field`` builds no tuple, but sums the keys of the
+variables it reads under its own, lower, degree cap.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
@@ -283,6 +284,27 @@ def _normalised(grouped, den):
     return nums, den
 
 
+def _canonical(raw):
+    """The stored form ``(nums, den)`` of raw terms ``{indices as read:
+    {packed: coefficient}}``, each coefficient an ``int`` or a ``Fraction``.
+    This is the one canonical step: each index tuple is sorted once with its
+    permutation sign, a group whose index repeats drops out, and the groups
+    that are left sum over the lcm of the coefficient denominators and are
+    normalised.  The constructor and ``cli.parse_field`` both end here."""
+    den = math.lcm(*(c.denominator for group in raw.values() for c in group.values()))
+    grouped = {}
+    for idx, group in raw.items():
+        sign, idx = _sort_with_sign(idx)
+        if not sign:
+            continue
+        sums = grouped.get(idx)
+        if sums is None:
+            sums = grouped[idx] = {}
+        for packed, c in group.items():
+            sums[packed] = sums.get(packed, 0) + sign * c.numerator * (den // c.denominator)
+    return _normalised(grouped, den)
+
+
 class _SparseTerms(_Value):
     """A finitely supported map (exponents, strictly increasing indices) ->
     nonzero rational on R^dim, stored as integer numerators ``nums``,
@@ -308,13 +330,12 @@ class _SparseTerms(_Value):
     _overlong_raises = False
 
     def __init__(self, dim, terms=None):
-        """Take any map of raw keys to exact rationals: indices sort with
-        their permutation sign, a repeated index drops the term, and terms
-        with equal keys add.  The numerators are summed over the lcm of the
-        coefficient denominators and normalised."""
+        """Take any map of raw keys to exact rationals: each key is checked
+        and packed, and the terms are grouped by their indices as given for
+        ``_canonical``, which sorts the indices and sums the terms."""
         dim = _ambient_dim(dim)
         packer = _packer(dim)
-        signed = []
+        raw = {}
         for (exp, idx), coeff in (terms or {}).items():
             # the key is checked even when the coefficient is zero
             packed = packer(exp)
@@ -323,19 +344,9 @@ class _SparseTerms(_Value):
                         or (self._overlong_raises and len(idx) > dim)):
                 raise DimensionError(f"{self._index_kind} index out of range in {idx}")
             coeff = _frac(coeff)
-            if not coeff:
-                continue
-            sign, idx = _sort_with_sign(idx)
-            if sign:
-                signed.append((idx, packed, sign, coeff))
-        den = math.lcm(*(c.denominator for _, _, _, c in signed))
-        grouped = {}
-        for idx, packed, sign, c in signed:
-            sums = grouped.get(idx)
-            if sums is None:
-                sums = grouped[idx] = {}
-            sums[packed] = sums.get(packed, 0) + sign * c.numerator * (den // c.denominator)
-        _store(self, dim, *_normalised(grouped, den))
+            group = raw.setdefault(idx, {})
+            group[packed] = group[packed] + coeff if packed in group else coeff
+        _store(self, dim, *_canonical(raw))
 
     @classmethod
     def _wrap(cls, dim, nums, den):

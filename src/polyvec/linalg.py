@@ -9,12 +9,16 @@ column in integers, and the row's content (the gcd of its entries) is then
 divided out, which keeps the entries small (the fraction-free step of
 Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
 elimination", Math. Comp. 22, 1968).  Scaling a row by a nonzero integer
-changes neither its span nor its place in the elimination, so each reduced
-row becomes ``Fraction(value, lead)`` once, at the end.  The classifier's
-kernel matrices (80 unknowns, 1-5 % nonzero) stay sparse throughout.  The
-reduced row echelon form is unique, so the choice of pivot rows changes the
-cost of ``rref`` and never its answer.  ``determinant`` reads its value off
-the same elimination, and ``inverse_and_determinant`` both off one.
+changes neither its span nor its place in the elimination, so the reduced
+rows stay integer rows, each a multiple of its reduced form by its lead.
+Only the callers that read reduced entries divide by the lead: ``rref``
+(and through it ``nullspace`` and ``span_equal``) and the inverse of
+``inverse_and_determinant``; ``pivot_columns`` and ``rank`` build no
+``Fraction``.  The classifier's kernel matrices (80 unknowns, 1-5 %
+nonzero) stay sparse throughout.  The reduced row echelon form is unique,
+so the choice of pivot rows changes the cost of ``rref`` and never its
+answer.  ``determinant`` reads its value off the same elimination, and
+``inverse_and_determinant`` both off one.
 
 A matrix is a list of rows; a row is a sequence (dense) or a mapping
 ``{column: value}`` (sparse, absent columns are zero).  Entries are ints or
@@ -55,6 +59,21 @@ def _integer_row(row):
     return out, den, g
 
 
+def _cleared(rows):
+    """``(integer rows, width)``: each row of the matrix through
+    ``_integer_row``, and the length of its dense rows, or ``None`` when the
+    first row is sparse.  Dense rows of unequal length raise
+    ``DimensionError``."""
+    rows = list(rows)
+    width = None
+    if rows and not isinstance(rows[0], Mapping):
+        width = len(rows[0])
+        for row in rows:
+            if not isinstance(row, Mapping) and len(row) != width:
+                raise DimensionError(f"dimension mismatch: {len(row)} vs {width}")
+    return [_integer_row(row)[0] for row in rows], width
+
+
 def _as_mapping(row):
     """The row itself when sparse, else ``{column: value}`` without conversion."""
     return row if isinstance(row, Mapping) else dict(enumerate(row))
@@ -67,29 +86,37 @@ def rref(rows):
     and each pivot is a leading 1 with zeros above and below, so two row
     spaces are equal iff their rref outputs are equal.  Reduced rows are
     dense lists of ``Fraction`` when the input rows are sequences, and dicts
-    ``{column: Fraction}`` without zeros when they are mappings.
+    ``{column: Fraction}`` without zeros when they are mappings.  Dense rows
+    of unequal length raise ``DimensionError``.
     """
-    rows = list(rows)
-    reduced, pivots, *_ = _eliminate([_integer_row(row)[0] for row in rows])
-    if rows and not isinstance(rows[0], Mapping):
-        ncols = len(rows[0])
-        return [[row.get(c, _ZERO) for c in range(ncols)] for row in reduced], pivots
+    rows, width = _cleared(rows)
+    reduced, pivots, *_ = _eliminate(rows)
+    reduced = [{k: Fraction(v, row[p]) for k, v in row.items()}
+               for row, p in zip(reduced, pivots)]
+    if width is not None:
+        return [[row.get(c, _ZERO) for c in range(width)] for row in reduced], pivots
     return reduced, pivots
+
+
+def pivot_columns(rows):
+    """The pivot columns of the reduced row echelon form of the matrix, the
+    second item of ``rref(rows)``, read off the integer elimination."""
+    return _eliminate(_cleared(rows)[0])[1]
 
 
 def _eliminate(rows):
     """Fraction-free Gauss-Jordan on sparse integer rows ``{column: int}``,
-    which it consumes; returns the reduced rows as ``{column: Fraction}``.
+    which it consumes; returns the reduced rows, still integer, and their
+    pivot columns.
 
     Each column takes as pivot the sparsest remaining row that has an entry
     there, which keeps fill-in low.  A pivot row keeps its integer lead; a
     row with entry ``f`` in the pivot column becomes ``(a/g) row - (f/g)
     pivot`` and is divided by its content.  Rows already reduced are updated
-    the same way, so each keeps a multiple of its reduced form and is divided
-    by its own lead at the end.  For ``determinant`` it also returns the
-    final integer leads, the parity of the order in which the pivot rows
-    leave ``pending``, and the products of the multipliers ``a/g`` and of the
-    contents divided out.
+    the same way, so each ends as its reduced form times its own lead, the
+    entry in its pivot column.  For ``determinant`` it also returns the
+    parity of the order in which the pivot rows leave ``pending``, and the
+    products of the multipliers ``a/g`` and of the contents divided out.
     """
     pending = [row for row in rows if row]
     reduced, pivots = [], []
@@ -133,14 +160,11 @@ def _eliminate(rows):
         pending = [row for row in pending if row]
         reduced.append(pivot)
         pivots.append(c)
-    leads = [row[p] for row, p in zip(reduced, pivots)]
-    return [{k: Fraction(v, row[p]) for k, v in row.items()}
-            for row, p in zip(reduced, pivots)], pivots, leads, passed % 2, scaled, divided
+    return reduced, pivots, passed % 2, scaled, divided
 
 
 def rank(rows):
-    reduced, pivots = rref(rows)
-    return len(pivots)
+    return len(pivot_columns(rows))
 
 
 def nullspace(rows, ncols):
@@ -211,16 +235,18 @@ def determinant(rows):
 
 
 def _determinant(n, rows):
-    """``(determinant, reduced rows)`` of the n x n matrix that leads the
-    rows ``rows``, which may go on past column n.  Scaling a row by ``s``
-    scales the determinant by ``s`` and row subtractions keep it, so at full
-    rank it is the signed product of ``_eliminate``'s leads over all the
-    scalings; columns past n only join the scalings and contents."""
+    """``(determinant, reduced integer rows)`` of the n x n matrix that
+    leads the rows ``rows``, which may go on past column n.  Scaling a row by
+    ``s`` scales the determinant by ``s`` and row subtractions keep it, so at
+    full rank it is the signed product of the leads of ``_eliminate``'s rows
+    over all the scalings; columns past n only join the scalings and
+    contents."""
     cleared = [_integer_row(row) for row in rows]
-    reduced, pivots, leads, odd, scaled, divided = _eliminate([out for out, _, _ in cleared])
+    reduced, pivots, odd, scaled, divided = _eliminate([out for out, _, _ in cleared])
     if pivots[:n] != list(range(n)):
         return _ZERO, reduced
-    value = (-1) ** odd * prod(leads) * divided * prod(g for _, _, g in cleared)
+    leads = prod(row[p] for row, p in zip(reduced, pivots))
+    value = (-1) ** odd * leads * divided * prod(g for _, _, g in cleared)
     return Fraction(value, scaled * prod(den for _, den, _ in cleared)), reduced
 
 
@@ -236,4 +262,5 @@ def inverse_and_determinant(rows):
     det, reduced = _determinant(n, [{**_as_mapping(row), n + i: 1} for i, row in enumerate(rows)])
     if not det:
         return None, det
-    return [[row.get(n + j, _ZERO) for j in range(n)] for row in reduced], det
+    return [[Fraction(row.get(n + j, 0), row[i]) for j in range(n)]
+            for i, row in enumerate(reduced)], det

@@ -186,12 +186,14 @@ def generic_rank(p):
         if ell != 2:
             raise ParityError(f"generic rank is defined for bi-vectors, got degree {ell}")
     upper = p.nums
-    values = _scaled_point_values(p)
     support = sorted({i for ij in upper for i in ij})
-    at_point = [[values.get((i, j), 0) if i < j else -values.get((j, i), 0)
-                 for j in support] for i in support]
-    _, pivots = linalg.rref(at_point)
-    chosen = [support[c] for c in pivots]
+    # sparse integer rows whose columns are the partial indices themselves,
+    # so the pivot columns are the indices of S
+    at_point = {i: {} for i in support}
+    for (i, j), value in _scaled_point_values(p).items():
+        at_point[i][j] = value
+        at_point[j][i] = -value
+    chosen = linalg.pivot_columns(at_point.values())
     memo = {}
     while True:
         rest = [i for i in support if i not in chosen]

@@ -73,11 +73,25 @@ def test_rank_and_nullspace_agree_with_oracle():
         ncols = len(rows[0])
         rank = linalg.rank(rows)
         assert rank == len(rref_dense(rows)[1]) == linalg.rank(as_sparse(rows))
+        pivots = linalg.rref(rows)[1]
+        assert linalg.pivot_columns(rows) == pivots == linalg.pivot_columns(as_sparse(rows))
         basis = linalg.nullspace(rows, ncols)
         assert basis == oracle_nullspace(rows, ncols) == linalg.nullspace(as_sparse(rows), ncols)
         assert rank + len(basis) == ncols
         for vec in basis:
             assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1], [0, 1]], "2 vs 1"),
+    ([[1, 2], [3]], "1 vs 2"),
+    ([(1, 0, 0), [0, 1], (0, 0, 1)], "2 vs 3"),
+    ([[], [0]], "1 vs 0"),
+])
+@pytest.mark.parametrize("operation", [linalg.rref, linalg.rank, linalg.pivot_columns])
+def test_dense_rows_of_unequal_length_raise(operation, rows, message):
+    with pytest.raises(DimensionError, match=f"^dimension mismatch: {message}$"):
+        operation(rows)
 
 
 def test_span_equal_against_oracle():
@@ -128,12 +142,13 @@ def test_mat_mul_rejects_sizes_that_do_not_agree(a, b, message):
 
 def test_empty_and_zero_matrices():
     assert linalg.rref([]) == ([], [])
-    assert linalg.rank([]) == 0
+    assert linalg.rank([]) == 0 and linalg.pivot_columns([]) == []
     assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
     assert linalg.span_equal([], [], 3)
     assert linalg.rref([[], []]) == ([], [])
     zero = [[0, 0, 0], [Fraction(0), 0, 0]]
     assert linalg.rref(zero) == ([], [])
+    assert linalg.pivot_columns(zero) == [] == linalg.pivot_columns([[], []])
     assert linalg.nullspace(zero, 3) == linalg.identity(3)
     assert linalg.span_equal(zero, [], 3)
 
@@ -142,6 +157,8 @@ def test_all_zero_rows_are_dropped():
     rows = [[0, 0, 0], [0, 2, 4], [0, 0, 0], [1, 0, 1]]
     assert linalg.rref(rows) == ([[1, 0, 1], [0, 1, 2]], [0, 1]) == rref_dense(rows)
     assert linalg.rref([{}, {1: 2, 2: 4}, {}]) == ([{1: 1, 2: 2}], [1])
+    assert linalg.pivot_columns(rows) == [0, 1] and linalg.rank(rows) == 2
+    assert linalg.pivot_columns([{}, {1: 2, 2: 4}, {}]) == [1]
 
 
 def test_tuple_rows_and_integer_entries():

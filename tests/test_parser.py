@@ -1,7 +1,7 @@
 """The one-pass parser against the token-cursor parser it replaced
 (``util.parse_field_by_tokens``): on any text and dimension both give the
 same field, or the same error with the same position.  Each drawn text is
-parsed at n = 1..4."""
+parsed at n = 1..4, and seeded sums at the benchmark's dimensions and n = 40."""
 
 import random
 import sys

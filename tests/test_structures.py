@@ -279,7 +279,9 @@ def test_integer_pfaffians_equal_the_wedge_oracle():
 
 def test_generic_rank_builds_no_field_for_its_pfaffians(monkeypatch):
     """A rank-deficient input reaches the bordered Pfaffians, and they
-    expand with no ``_wedge`` call and no field stored."""
+    expand with no ``_wedge`` call and no field stored; its point pivots are
+    read off the integer elimination, with no ``Fraction`` built in
+    ``linalg``."""
     rng = random.Random(7)
     x, y = (as_field(6, linear_field(rng, 6, 5)) for _ in range(2))
     p = wedge(x, y)
@@ -296,8 +298,15 @@ def test_generic_rank_builds_no_field_for_its_pfaffians(monkeypatch):
     counting(fields._SparseTerms, "_wedge")
     counting(fields, "_store")
     counting(structures, "_pfaffian")
+
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("linalg built a Fraction")
+    monkeypatch.setattr(linalg, "Fraction", NoFraction)
     assert generic_rank(p) == 2
     assert counts["_wedge"] == counts["_store"] == 0 < counts["_pfaffian"]
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        linalg.rref([[1, 2]])
 
 
 def test_generic_rank_matches_minor_oracle():
