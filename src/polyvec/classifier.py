@@ -25,12 +25,15 @@ from types import MappingProxyType
 
 from .errors import DimensionError, PreconditionError
 from . import linalg
+from .linalg import _frac
 from .fields import (
+    LinearMatrix,
     PolyVectorField,
     _Value,
     _add_products,
-    _frac,
-    _packer,
+    _canonical,
+    _operands,
+    _pack,
     _sort_with_sign,
     euler,
     linear_vector_field,
@@ -85,10 +88,21 @@ def _coordinatize(elements):
     return keys, rows
 
 
+def _family(name, elements):
+    """``elements`` as a list, which must hold fields, or forms, of one
+    ``dim``: ``TypeError`` or ``DimensionError`` otherwise."""
+    elements = list(elements)
+    if elements:
+        forms = isinstance(elements[0], PolyDifferentialForm)
+        kind = PolyDifferentialForm if forms else PolyVectorField
+        _operands(name, *((element, kind) for element in elements))
+    return elements
+
+
 def same_span(elements_a, elements_b):
     """Do two families of fields (or forms) span the same subspace?"""
     elements_a = list(elements_a)
-    keys, rows = _coordinatize(elements_a + list(elements_b))
+    keys, rows = _coordinatize(_family("same_span", elements_a + list(elements_b)))
     if not keys:
         return True
     split = len(elements_a)
@@ -98,14 +112,13 @@ def same_span(elements_a, elements_b):
 def _from_coordinates(cls, dim, keys, items):
     """The element of ``cls`` whose coefficient at ``keys[c]`` is the
     rational ``v`` for each coordinate ``(c, v)`` in ``items``: the inverse
-    of ``_coordinatize``.  The keys are stored keys, so the values only go
-    over the lcm of their denominators."""
-    values = [(keys[c], v) for c, v in items if v]
-    den = lcm(*(v.denominator for _, v in values))
-    grouped = {}
-    for (packed, idx), v in values:
-        grouped.setdefault(idx, {})[packed] = v.numerator * (den // v.denominator)
-    return cls._reduced(dim, grouped, den)
+    of ``_coordinatize``."""
+    raw = {}
+    for c, v in items:
+        if v:
+            packed, idx = keys[c]
+            raw.setdefault(idx, {})[packed] = v
+    return cls._wrap(dim, *_canonical(raw))
 
 
 def _operator_kernel(cls, dim, keys, operator):
@@ -140,6 +153,8 @@ class SolutionSpace(_Value):
     __slots__ = _fields = ("ambient", "basis")
 
     def __init__(self, ambient, basis):
+        _operands("SolutionSpace", (ambient, str))
+        basis = _family("SolutionSpace", basis)
         _, rows = _coordinatize(basis)
         if basis and linalg.rank(rows) != len(basis):
             raise PreconditionError("solution space basis is linearly dependent")
@@ -215,23 +230,25 @@ class ClassificationCase(_Value):
 
 def matrix_action_field(matrix):
     """Vector field of the row-convention action x -> x M."""
+    _operands("matrix_action_field", (matrix, LinearMatrix))
     return linear_vector_field(matrix.transpose())
 
 
 def centralizer_kernel(c_matrix, k):
     """Basis of {A in P^(k,1) : [C, A] = 0} by exact elimination."""
+    _operands("centralizer_kernel", (c_matrix, LinearMatrix))
     if k < 0:
         raise PreconditionError(f"polynomial degree must be >= 0, got {k}")
     n = c_matrix.dim
     c_field = matrix_action_field(c_matrix)
-    keys = [(key, (j,)) for key in map(_packer(n), monomial_exponents(n, k))
-            for j in range(1, n + 1)]
+    keys = [(_pack(n, exp), (j,)) for exp in monomial_exponents(n, k) for j in range(1, n + 1)]
     kernel = _operator_kernel(PolyVectorField, n, keys, lambda a: schouten(c_field, a))
     return SolutionSpace._independent(f"P^({k},1) in dimension {n}", kernel)
 
 
 def tracefree_projection(space):
     """Independent basis of the trace-free parts of a solution space."""
+    _operands("tracefree_projection", (space, SolutionSpace))
     projected = [decompose(a).tracefree for a in space.basis]
     projected = [p for p in projected if not p.is_zero()]
     if not projected:
@@ -264,6 +281,7 @@ def _catalog_case(matrix, kernel, tracefree_basis, constraints, generators):
 
 def cubic3_catalog(c_matrix):
     """Simple cubic Poisson structures A0 /\\ (C + e^(3,2)) for one stratum."""
+    _operands("cubic3_catalog", (c_matrix, LinearMatrix))
     if c_matrix.dim != 3:
         raise DimensionError("cubic catalog lives in dimension 3")
     if c_matrix.trace() != 0:
@@ -290,13 +308,13 @@ def compatible_cubic_oneforms(a_matrix):
     signed bijection on term keys, so this matrix and that of L_A differ
     only in row order and signs: the same nullspace and canonical basis.
     """
+    _operands("compatible_cubic_oneforms", (a_matrix, LinearMatrix))
     if a_matrix.dim != 4:
         raise DimensionError("quadratic catalog lives in dimension 4")
     if a_matrix.trace() != 0:
         raise PreconditionError("stratum matrix must be trace-free")
     a_field = matrix_action_field(a_matrix)
-    packed = list(map(_packer(4), CUBIC4_DISPLAY_ORDER))
-    keys = [(key, (k,)) for k in range(1, 5) for key in packed]
+    keys = [(_pack(4, exp), (k,)) for k in range(1, 5) for exp in CUBIC4_DISPLAY_ORDER]
     kernel = _operator_kernel(PolyDifferentialForm, 4, keys,
                               lambda th: schouten(a_field, from_form(th)))
     return SolutionSpace._independent(
@@ -314,6 +332,7 @@ _COMPLEMENTARY_PAIRS = tuple(
 def quartic_constraints(space):
     """Coefficients of d theta /\\ d theta as quadratics in the family
     parameters of a cubic 1-form solution space in dimension four."""
+    _operands("quartic_constraints", (space, SolutionSpace))
     for theta in space.basis:
         if theta.dim != 4:
             raise DimensionError("quartic constraints live in dimension 4")
@@ -361,6 +380,8 @@ def build_quadratic_poisson(theta, a_matrix):
     Checks condition (i) L_A theta = 0 and condition (ii)
     d theta /\\ d theta = 0 before assembling the structure.
     """
+    _operands("build_quadratic_poisson", (theta, PolyDifferentialForm))
+    _operands("build_quadratic_poisson", (a_matrix, LinearMatrix))
     if a_matrix.dim != 4 or theta.dim != 4:
         raise DimensionError("quadratic construction lives in dimension 4")
     if a_matrix.trace() != 0:
@@ -392,6 +413,7 @@ def quad4_catalog(a_matrix):
     set instead.  The constraints carry a c_i^2 coefficient exactly where
     d theta_i /\\ d theta_i is nonzero, so that test needs no further wedge.
     """
+    _operands("quad4_catalog", (a_matrix, LinearMatrix))
     kernel = compatible_cubic_oneforms(a_matrix)
     dthetas = [exterior_derivative(theta) for theta in kernel.basis]
     constraints = _quartic_pairing(dthetas)

@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from . import __version__, classifier, invariants
 from .errors import DimensionError, DomainError, ParseError, PolyvecError, PreconditionError
-from .fields import (LinearMatrix, PolyVectorField, _ambient_dim, _canonical, _shift, _unpack,
-                     _Value, schouten, wedge)
+from .fields import (LinearMatrix, PolyVectorField, _ambient_dim, _canonical, _operands,
+                     _SparseTerms, _unpack, _Value, _variable_key, schouten, wedge)
 from .duality import dim_irrep, trace_d
 from .decomposition import decompose
 from .structures import (
@@ -58,8 +58,7 @@ _VAR_ALIASES = {3: ("x", "y", "z"), 4: ("t", "x", "y", "z")}
 
 # Largest accepted number of terms read times the dimension, for field
 # expressions and for rmatrix --terms.  Each term gets a packed key of n
-# fields or an exponent tuple of length n, so this bounds the parsers' work
-# and memory.  Catalog and benchmark inputs stay below 400.
+# fields, so this bounds the parsers' work and memory.  Catalog and benchmark inputs stay below 400.
 MAX_TERM_CELLS = 1_000_000
 
 # One match per token: an integer, a name, the wedge or any other non-space
@@ -116,6 +115,7 @@ def parse_field(text, n):
     constructor reaches too, is the only canonicalizer: it orders the
     partials with their sign and drops a repeated partial and a zero sum.
     """
+    _operands("parse_field", (text, str))
     if not text.strip():
         raise ParseError("empty expression", 0)
     tokens = _TOKEN.findall(text)
@@ -125,7 +125,7 @@ def parse_field(text, n):
         raise _parse_error(text, 0, "token exceeds the digit limit")
     tokens.append("")  # the end
     letters = _VAR_ALIASES.get(n, ())
-    names = {name: ((1 << _shift(n, m - 1)) + 1, False) for m, name in enumerate(letters, 1)}
+    names = {name: (_variable_key(n, m - 1), False) for m, name in enumerate(letters, 1)}
     names.update({"d" + name: (m, True) for m, name in enumerate(letters, 1)})
     raw = {}
     cells = 0
@@ -163,7 +163,7 @@ def parse_field(text, n):
                         raise _parse_error(
                             text, i, f"index {m} out of range for dimension {n}")
                     ref = names[token] = ((m, True) if token[0] == "d" else
-                                          ((1 << _shift(n, m - 1)) + 1, False))
+                                          (_variable_key(n, m - 1), False))
                 value, is_partial = ref
                 at, i = i, i + 1
                 if is_partial:
@@ -219,6 +219,8 @@ def format_expr(obj, alias="numeric"):
     partials once per index tuple.  A result with an integer past the
     interpreter's int/str digit limit raises ``PolyvecError``.
     """
+    if not isinstance(obj, _SparseTerms):
+        raise TypeError(f"format_expr takes a field or a form, not {type(obj).__name__}")
     dim = obj.dim
     if alias == "numeric":
         var_names = [f"x{i}" for i in range(1, dim + 1)]
@@ -299,7 +301,7 @@ def parse_rmatrix_terms(text, n):
     """R-matrix literal ``"i,j,k,l:coeff;..."`` for E_ij /\\ E_kl terms.
 
     Terms read times ``n`` is capped by ``MAX_TERM_CELLS``, as in
-    ``parse_field``: each term becomes an exponent tuple of length n."""
+    ``parse_field``: each term becomes a packed key of n fields."""
     coefficients = {}
     cells = 0
     for chunk in text.split(";"):
@@ -330,6 +332,7 @@ def _constraint_strings(constraints):
 
 
 def catalog_document(case, alias="numeric"):
+    _operands("catalog_document", (case, classifier.ClassificationCase))
     try:
         return _catalog_document(case, alias)
     except ValueError:

@@ -20,6 +20,7 @@ from .fields import (
     _SparseTerms,
     _Value,
     _sort_with_sign,
+    _variable_key,
     merge_indices,
 )
 
@@ -152,13 +153,13 @@ def trace_d(u):
     for idx, group in u.nums.items():
         ell = len(idx)
         for t, j in enumerate(idx):
-            shift = _shift(dim, j - 1)
+            shift, unit = _shift(dim, j - 1), _variable_key(dim, j - 1)
             sign = -1 if (ell - 1 - t) % 2 else 1
             sums = totals.setdefault(idx[:t] + idx[t + 1:], {})
             for packed, c in group.items():
                 e = packed >> shift & _MASK
                 if e:
-                    key = packed - (1 << shift) - 1
+                    key = packed - unit
                     sums[key] = sums.get(key, 0) + sign * e * c
     return PolyVectorField._reduced(dim, totals, u.den)
 

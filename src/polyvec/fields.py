@@ -28,9 +28,13 @@ two keys is the key of the product of their monomials with no carry between
 fields, and d/dx_m subtracts the key of x_m.  A degree past the bound raises
 ``DegreeLimitError``: the constructor checks each key, and ``_normalised``
 checks the degree field of each key of a result through ``_check_degrees``.
-``_packer`` and ``_unpack`` are the only conversions between tuples and
-packed keys; ``cli.parse_field`` builds no tuple, but sums the keys of the
-variables it reads under its own, lower, degree cap.
+Packed keys have one writer for each input shape: ``_pack`` for an exponent
+tuple and ``_variable_key`` for one coordinate; ``_unpack`` is the one way
+back to a tuple.  ``cli.parse_field`` builds no tuple, but sums the keys of
+the variables it reads under its own, lower, degree cap.  Every builder that
+starts from keys and rationals (the constructor, the parser,
+``linear_vector_field``, ``structures.r_matrix_to_bivector`` and the
+classifier's coordinate inverse) ends in ``_canonical``.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
@@ -46,9 +50,10 @@ Schouten bracket and ``duality.exterior_derivative`` read.
 """
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import index, lt
-from struct import Struct, error as StructError, unpack
+from struct import pack, unpack
 
 from .errors import (
     DegenerateNormalizerError,
@@ -58,9 +63,10 @@ from .errors import (
     SingularMatrixError,
 )
 from . import linalg
+from .linalg import _frac
 
 
-# Bits per field of a packed key.  ``_packer`` and ``_unpack`` write the
+# Bits per field of a packed key.  ``_pack`` and ``_unpack`` write the
 # fields with the struct codes of this width: ``H`` for an exponent and ``h``
 # for the degree, whose range [0, 2^15) is the degree bound.
 _W = 16
@@ -68,31 +74,20 @@ _MASK = (1 << _W) - 1
 _DEGREE_TOP = 1 << (_W - 1)
 
 
-def _packer(dim):
-    """The function that packs an exponent tuple of length ``dim`` into its
-    key, with the struct code formatted into one ``Struct`` per call here,
-    so code that packs many tuples of one ``dim`` formats it once; one
-    tuple packs as ``_packer(dim)(exponents)``.
+def _pack(dim, exponents):
+    """The packed key of an exponent tuple of length ``dim``.
 
     A non-integer exponent raises ``TypeError``, a wrong length or a
     negative exponent ``DimensionError``, and a total degree of
-    ``_DEGREE_TOP`` or more ``DegreeLimitError``.  struct checks all of it
-    on the way in, and only a tuple it refuses is looked at again."""
-    pack_fields = Struct(f">{dim}Hh").pack
-
-    def packed(exponents):
-        try:
-            return int.from_bytes(pack_fields(*exponents, sum(exponents)), "big")
-        except (StructError, TypeError):
-            pass
-        exponents = tuple(map(index, exponents))
-        if len(exponents) != dim or any(e < 0 for e in exponents):
-            raise DimensionError(f"bad exponent tuple {exponents} for dimension {dim}")
-        if sum(exponents) < _DEGREE_TOP:
-            # integers that only their own type kept from summing or packing
-            return packed(exponents)
+    ``_DEGREE_TOP`` or more ``DegreeLimitError``.  The exponents are read
+    through ``operator.index`` once, before anything else sees them."""
+    exponents = tuple(map(index, exponents))
+    if len(exponents) != dim or any(e < 0 for e in exponents):
+        raise DimensionError(f"bad exponent tuple {exponents} for dimension {dim}")
+    degree = sum(exponents)
+    if degree >= _DEGREE_TOP:
         raise DegreeLimitError(f"term degree exceeds the limit of {_DEGREE_TOP - 1}")
-    return packed
+    return int.from_bytes(pack(f">{dim}Hh", *exponents, degree), "big")
 
 
 def _unpack(dim, packed):
@@ -102,9 +97,14 @@ def _unpack(dim, packed):
 
 def _shift(dim, m):
     """Bit offset of the field of x_(m+1) in a packed key in ``dim``
-    variables: ``key >> s & _MASK`` is its exponent, and ``(1 << s) + 1``
-    the key of x_(m+1) itself."""
+    variables: ``key >> s & _MASK`` is its exponent."""
     return _W * (dim - m)
+
+
+def _variable_key(dim, m):
+    """The packed key of the coordinate x_(m+1) in ``dim`` variables: a 1 in
+    its field, at ``_shift(dim, m)``, and a 1 in the degree field."""
+    return (1 << _W * (dim - m)) + 1
 
 
 def _lowest_field(fields):
@@ -112,16 +112,6 @@ def _lowest_field(fields):
     shifted right by ``_W``, past its degree, that is the field of the last
     variable present, at offset ``_W`` less than in the key."""
     return ((fields & -fields).bit_length() - 1) // _W * _W
-
-
-def _frac(x):
-    """``x`` as an exact rational; an ``int`` (not a ``bool``) or a
-    ``Fraction`` is returned as it is."""
-    if type(x) is int or isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
 def merge_indices(a, b):
@@ -211,11 +201,6 @@ class BiDegree(_Value):
         return iter((self.k, self.ell))
 
 
-def _unit(n, m):
-    """Exponent tuple of the coordinate x_(m+1) in n variables."""
-    return tuple(1 if t == m else 0 for t in range(n))
-
-
 def _check_degrees(keys):
     """Raise ``DegreeLimitError`` for the first packed key of ``keys``
     whose degree field reached ``_DEGREE_TOP``.  Each is the sum of two
@@ -239,15 +224,16 @@ def _ambient_dim(dim):
 
 def _operands(name, *operands):
     """Raise ``TypeError`` unless each ``(value, kind)`` in ``operands`` has
-    a value of its kind, then ``DimensionError`` unless the values share one
-    ``dim``."""
+    a value of its kind, then, for two or more, ``DimensionError`` unless
+    the values share one ``dim``.  A single value need not have a ``dim``."""
     for value, kind in operands:
         if not isinstance(value, kind):
             raise TypeError(f"{name} takes {kind.__name__}, not {type(value).__name__}")
-    dim = operands[0][0].dim
-    for value, _ in operands[1:]:
-        if value.dim != dim:
-            raise DimensionError(f"dimension mismatch: {dim} vs {value.dim}")
+    if len(operands) > 1:
+        dim = operands[0][0].dim
+        for value, _ in operands[1:]:
+            if value.dim != dim:
+                raise DimensionError(f"dimension mismatch: {dim} vs {value.dim}")
 
 
 def _add_products(sums, left, right, negate):
@@ -290,7 +276,8 @@ def _canonical(raw):
     This is the one canonical step: each index tuple is sorted once with its
     permutation sign, a group whose index repeats drops out, and the groups
     that are left sum over the lcm of the coefficient denominators and are
-    normalised.  The constructor and ``cli.parse_field`` both end here."""
+    normalised.  Every builder that starts from keys and rationals ends
+    here."""
     den = math.lcm(*(c.denominator for group in raw.values() for c in group.values()))
     grouped = {}
     for idx, group in raw.items():
@@ -334,11 +321,12 @@ class _SparseTerms(_Value):
         and packed, and the terms are grouped by their indices as given for
         ``_canonical``, which sorts the indices and sums the terms."""
         dim = _ambient_dim(dim)
-        packer = _packer(dim)
+        terms = {} if terms is None else terms
+        _operands(type(self).__name__, (terms, Mapping))
         raw = {}
-        for (exp, idx), coeff in (terms or {}).items():
+        for (exp, idx), coeff in terms.items():
             # the key is checked even when the coefficient is zero
-            packed = packer(exp)
+            packed = _pack(dim, exp)
             idx = tuple(map(index, idx))
             if idx and (min(idx) < 1 or max(idx) > dim
                         or (self._overlong_raises and len(idx) > dim)):
@@ -371,7 +359,7 @@ class _SparseTerms(_Value):
 
     @classmethod
     def zero(cls, dim):
-        return cls(dim, {})
+        return cls._wrap(_ambient_dim(dim), {}, 1)
 
     def _combined(self, other, sign):
         """``self + sign * other`` over the lcm of the two denominators; a
@@ -620,7 +608,7 @@ def radial_field(n):
     """The radial vector field e0 = x^m d_m."""
     n = _ambient_dim(n)
     return PolyVectorField._wrap(
-        n, {(m + 1,): {(1 << _shift(n, m)) + 1: 1} for m in range(n)}, 1)
+        n, {(m + 1,): {_variable_key(n, m): 1} for m in range(n)}, 1)
 
 
 def euler(n, k, ell):
@@ -653,6 +641,9 @@ class LinearMatrix(_Value):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries):
+        entries = list(entries)
+        if any(isinstance(row, str) for row in entries):
+            raise TypeError("LinearMatrix takes rows of exact rationals, not str")
         rows = tuple(tuple(_frac(x) for x in row) for row in entries)
         if not rows or any(len(r) != len(rows) for r in rows):
             raise DimensionError("matrix must be square and non-empty")
@@ -703,10 +694,11 @@ class LinearMatrix(_Value):
 def linear_vector_field(matrix):
     """The linear vector field with coefficient of d_i equal to row i dot x,
     i.e. M -> M[i][j] x_j d_i."""
+    _operands("linear_vector_field", (matrix, LinearMatrix))
     n = matrix.dim
-    return PolyVectorField(n, {(_unit(n, j), (i + 1,)): c
-                               for i, row in enumerate(matrix.entries)
-                               for j, c in enumerate(row) if c})
+    return PolyVectorField._wrap(n, *_canonical(
+        {(i + 1,): {_variable_key(n, j): c for j, c in enumerate(row) if c}
+         for i, row in enumerate(matrix.entries)}))
 
 
 def _integer_rows(entries):
@@ -747,7 +739,7 @@ def pushforward(l_matrix, u):
     inv, d_inv = _integer_rows(inv)
     # the key of each x_t, and d_rows * x_m and d_inv * d_j as sparse
     # integer linear combinations
-    units = [(1 << _shift(n, t)) + 1 for t in range(n)]
+    units = [_variable_key(n, t) for t in range(n)]
     coordinates = [[(units[t], v) for t, v in enumerate(row) if v] for row in rows]
     partials = [[(i + 1, inv[i][j]) for i in range(n) if inv[i][j]] for j in range(n)]
     images = {0: {0: 1}}
@@ -833,12 +825,13 @@ def skew_component(u, lower, upper):
     if slot is None:
         return Fraction(0)
     sign, (exp, idx), fact = slot
-    coeff = u.nums.get(idx, {}).get(_packer(u.dim)(exp))
+    coeff = u.nums.get(idx, {}).get(_pack(u.dim, exp))
     return Fraction(0) if coeff is None else Fraction(sign * fact * coeff, u.den)
 
 
 def from_skew_components(dim, components):
     """Build a field from skew-convention components A_{lower}^{upper}."""
+    _operands("from_skew_components", (components, Mapping))
     terms = {}
     for (lower, upper), value in components.items():
         slot = _skew_slot(dim, lower, upper)

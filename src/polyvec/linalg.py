@@ -21,8 +21,10 @@ answer.  ``determinant`` reads its value off the same elimination, and
 ``inverse_and_determinant`` both off one.
 
 A matrix is a list of rows; a row is a sequence (dense) or a mapping
-``{column: value}`` (sparse, absent columns are zero).  Entries are ints or
-anything ``Fraction`` accepts.
+``{column: value}`` (sparse, absent columns are zero).  Entries are exact
+rationals, read through ``_frac``: an ``int``, a ``Fraction`` or a string
+such as ``"1/2"``.  A float, a ``Decimal`` or any other type raises
+``TypeError``, so no inexact value enters an elimination.
 """
 
 from collections.abc import Mapping
@@ -35,16 +37,27 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _frac(x):
+    """``x`` as an exact rational; an ``int`` (not a ``bool``) or a
+    ``Fraction`` is returned as it is, and a string is read by ``Fraction``.
+    Anything else raises ``TypeError``."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
 def _integer_row(row):
     """Nonzero entries of a dense or sparse row as ``{column: int}``: the row
     times the lcm of its denominators, divided by its content.  ``int``
-    entries are taken as they are.  Returns ``(row, lcm, content)``."""
+    entries are taken as they are, others read through ``_frac``.  Returns
+    ``(row, lcm, content)``."""
     items = row.items() if isinstance(row, Mapping) else enumerate(row)
     out, den = {}, 1
     for c, x in items:
         if not isinstance(x, int):
-            if not isinstance(x, Fraction):
-                x = Fraction(x)
+            x = _frac(x)
             if x.denominator == 1:
                 x = x.numerator
             else:
@@ -167,13 +180,25 @@ def rank(rows):
     return len(pivot_columns(rows))
 
 
+def _columns_within(rows, ncols):
+    """The rows as mappings ``{column: value}``; a row with a column outside
+    ``range(ncols)`` raises ``DimensionError``.  A row may be shorter."""
+    rows = [_as_mapping(row) for row in rows]
+    for row in rows:
+        for c in row:
+            if not 0 <= c < ncols:
+                raise DimensionError(f"a row has column {c}, outside the {ncols} columns")
+    return rows
+
+
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix, one vector per free column.
+    """Basis of the right nullspace of the matrix in ``ncols`` columns, one
+    vector per free column.
 
     The basis is the canonical one read off the rref: the free coordinate is
     set to 1 and pivot coordinates receive the negated reduced entries.
     """
-    reduced, pivots = rref([_as_mapping(row) for row in rows])
+    reduced, pivots = rref(_columns_within(rows, ncols))
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -193,21 +218,24 @@ def span_equal(rows_a, rows_b, ncols):
     """Do two lists of coordinate vectors in ``ncols`` coordinates span the
     same subspace?  Rows may be shorter than ``ncols``; missing entries are
     zero."""
-    ra, pa = rref([_as_mapping(row) for row in rows_a])
-    rb, pb = rref([_as_mapping(row) for row in rows_b])
+    ra, pa = rref(_columns_within(rows_a, ncols))
+    rb, pb = rref(_columns_within(rows_b, ncols))
     return ra == rb and pa == pb
 
 
 def mat_mul(a, b):
-    """The product of dense matrices ``a`` (n x k) and ``b`` (k x m).  A row
-    of ``a`` without k columns, or a row of ``b`` of another length than the
-    first, raises ``DimensionError``."""
+    """The product of dense matrices ``a`` (n x k) and ``b`` (k x m), their
+    entries read through ``_frac``.  A row of ``a`` without k columns, or a
+    row of ``b`` of another length than the first, raises
+    ``DimensionError``."""
     n, k = len(a), len(b)
     cols = len(b[0]) if b else 0
     for rows, size in ((a, k), (b, cols)):
         for row in rows:
             if len(row) != size:
                 raise DimensionError(f"dimension mismatch: {len(row)} vs {size}")
+    a = [[_frac(x) for x in row] for row in a]
+    b = [[_frac(x) for x in row] for row in b]
     return [
         [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
         for i in range(n)

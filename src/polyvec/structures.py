@@ -6,6 +6,7 @@ trace decomposition and is kept separate from the direct bracket test so the
 two can cross-check each other.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from operator import index
@@ -22,15 +23,17 @@ from .fields import (
     PolyVectorField,
     _Value,
     _add_products,
+    _canonical,
     _check_degrees,
-    _frac,
     _operands,
     _unpack,
+    _variable_key,
     euler,
     schouten,
     wedge,
 )
 from . import linalg
+from .linalg import _frac
 from .duality import trace_d
 from .decomposition import decompose
 
@@ -54,6 +57,10 @@ class JacobiPair(_Value):
             raise ParityError("vector degrees must differ by one")
         _Value.__init__(self, lam, e_field)
 
+    @property
+    def dim(self):
+        return self.lam.dim
+
     def __iter__(self):
         return iter((self.lam, self.e_field))
 
@@ -76,8 +83,10 @@ class RMatrix(_Value):
         dim = index(dim)
         if dim < 1:
             raise DimensionError(f"dimension must be >= 1, got {dim}")
+        coefficients = {} if coefficients is None else coefficients
+        _operands("RMatrix", (coefficients, Mapping))
         canonical = {}
-        for (unit_a, unit_b), coeff in (coefficients or {}).items():
+        for (unit_a, unit_b), coeff in coefficients.items():
             coeff = _frac(coeff)
             unit_a = tuple(map(index, unit_a))
             unit_b = tuple(map(index, unit_b))
@@ -273,6 +282,7 @@ def _pfaffian(rows, upper, memo):
 
 def is_jacobi(pair):
     """[L, E] = 0 and [L, L] = 2 E /\\ L, checked exactly."""
+    _operands("is_jacobi", (pair, JacobiPair))
     lam, e = pair.lam, pair.e_field
     if not schouten(lam, e).is_zero():
         return False
@@ -301,6 +311,7 @@ def poisson_from_jacobi(pair):
 
         P0 = L0,   DP = DL + (n + k - 2l)/(2l - k) E0.
     """
+    _operands("poisson_from_jacobi", (pair, JacobiPair))
     if not is_jacobi(pair):
         raise PreconditionError("input pair is not a Jacobi structure")
     degree = _homogeneous_degree(pair)
@@ -329,6 +340,8 @@ def jacobi_from_poisson(p, f0, xi):
         L = P0 + F0 /\\ e^(k,2l),
         E = (2l - k)/(n + k - 2l) (E~0 + xi /\\ e^(k,2l)).
     """
+    _operands("jacobi_from_poisson", (p, PolyVectorField), (f0, PolyVectorField),
+              (xi, PolyVectorField))
     if not is_poisson(p):
         raise PreconditionError("input is not a Poisson structure")
     if p.is_zero():
@@ -366,6 +379,8 @@ def jacobi_from_poisson(p, f0, xi):
 def exceptional_pair_check(p, pair, eta):
     """Checker for the k = 2l case: associated pairs need E0 = 0,
     DL = DP + eta and [eta, L0] = -DE /\\ L0 for the supplied eta."""
+    _operands("exceptional_pair_check", (p, PolyVectorField), (pair, JacobiPair),
+              (eta, PolyVectorField))
     lam_parts = decompose(pair.lam)
     e_parts = decompose(pair.e_field)
     if not e_parts.tracefree.is_zero():
@@ -382,8 +397,8 @@ def are_associated(p, pair):
 
         P0 = L0  and  E0 = (k - 2l)/(n + k - 2l) (DL - DP).
     """
+    _operands("are_associated", (p, PolyVectorField), (pair, JacobiPair))
     lam = pair.lam
-    _operands("are_associated", (p, PolyVectorField), (lam, PolyVectorField))
     if not p.is_zero() and not lam.is_zero() and p.bidegree() != lam.bidegree():
         raise DimensionError("structures must share the bidegree (k, 2l)")
     deg = p.bidegree() if not p.is_zero() else lam.bidegree()
@@ -403,13 +418,12 @@ def are_associated(p, pair):
 def r_matrix_to_bivector(r):
     """Quadratic bi-vector image of an element of Lambda^2(gl_n):
     E_ij /\\ E_kl -> x_i x_k d_j /\\ d_l."""
+    _operands("r_matrix_to_bivector", (r, RMatrix))
     n = r.dim
-    terms = {}
+    raw = {}
     for ((i, j), (k, l)), c in r.coefficients.items():
-        exp = [0] * n
-        exp[i - 1] += 1
-        exp[k - 1] += 1
-        # the constructor sorts (j, l) with its sign and drops j == l
-        key = (tuple(exp), (j, l))
-        terms[key] = terms.get(key, 0) + c
-    return PolyVectorField(n, terms)
+        # _canonical sorts (j, l) with its sign and drops j == l
+        group = raw.setdefault((j, l), {})
+        key = _variable_key(n, i - 1) + _variable_key(n, k - 1)
+        group[key] = group.get(key, 0) + c
+    return PolyVectorField._wrap(n, *_canonical(raw))

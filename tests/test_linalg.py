@@ -1,6 +1,7 @@
 """Sparse exact elimination against the dense Gauss-Jordan oracle."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,46 @@ def test_rank_and_nullspace_agree_with_oracle():
 def test_dense_rows_of_unequal_length_raise(operation, rows, message):
     with pytest.raises(DimensionError, match=f"^dimension mismatch: {message}$"):
         operation(rows)
+
+
+@pytest.mark.parametrize("rows, column", [
+    ([[1, 2, 3]], 2),
+    ([[1, 0], [0, 1, 0]], 2),
+    ([{0: 1, 5: 2}], 5),
+    ([{2: 0}], 2),
+    ([{-1: 1}], -1),
+])
+@pytest.mark.parametrize("operation", [
+    lambda rows: linalg.nullspace(rows, 2),
+    lambda rows: linalg.span_equal(rows, [[1]], 2),
+    lambda rows: linalg.span_equal([[1]], rows, 2),
+], ids=["nullspace", "span_equal-a", "span_equal-b"])
+def test_a_row_with_a_column_outside_ncols_raises(operation, rows, column):
+    message = f"^a row has column {column}, outside the 2 columns$"
+    with pytest.raises(DimensionError, match=message):
+        operation(rows)
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5")], ids=["float", "Decimal"])
+@pytest.mark.parametrize("operation", [
+    lambda x: linalg.rref([[x, 1]]),
+    lambda x: linalg.rref([{0: x}]),
+    lambda x: linalg.pivot_columns([[x]]),
+    lambda x: linalg.rank([[1], [x]]),
+    lambda x: linalg.nullspace([[x, 1]], 2),
+    lambda x: linalg.span_equal([[x]], [[1]], 1),
+    lambda x: linalg.mat_mul([[1]], [[x]]),
+    lambda x: linalg.determinant([[x]]),
+    lambda x: linalg.inverse([[1, 0], [0, x]]),
+    lambda x: linalg.inverse_and_determinant([[x]]),
+], ids=["rref", "rref-sparse", "pivot_columns", "rank", "nullspace", "span_equal", "mat_mul",
+        "determinant", "inverse", "inverse_and_determinant"])
+def test_an_inexact_entry_raises_type_error(operation, value):
+    """No float or Decimal enters an exact elimination; a string such as
+    "1/2" is still read as the rational it names."""
+    with pytest.raises(TypeError):
+        operation(value)
+    assert linalg.determinant([["1/2"]]) == Fraction(1, 2)
 
 
 def test_span_equal_against_oracle():

@@ -194,6 +194,10 @@ def test_exponents_that_are_integers_only_by_index_are_packed():
 
     field = PolyVectorField(2, {((Exponent(2), Exponent(1)), (1,)): 1})
     assert field == PolyVectorField.single(2, 1, (2, 1), (1,))
+    # an iterator of exponents is read once, degree field included
+    field = PolyVectorField(2, {(iter((1, 0)), (1,)): 1})
+    assert field == parse_field("x1*d1", 2)
+    assert field.bidegree() == BiDegree(1, 1)
 
 
 def wedge_pairs(u, v):
