@@ -10,7 +10,8 @@ d theta /\\ d theta = 0, and build Poisson structures Psi^-1(d theta) + A /\\ e^
 For linear A the volume duality Psi turns the Lie derivative into a bracket,
 L_A theta = Psi[A, Psi^-1 theta] + tr(A) theta, and A is trace-free, so the
 kernel equation is [A, Psi^-1 theta] = 0: both catalogs solve [C, U] = 0
-through the one ``schouten`` kernel.  ``lie_derivative_form`` (the Cartan
+through the one Schouten kernel, as ``fields._bracket_with(C)``, which builds
+the derivative buckets of C once per kernel.  ``lie_derivative_form`` (the Cartan
 formula) stays the independent route of ``build_quadratic_poisson``.
 
 Throughout, a matrix C acts on coordinates in the row convention
@@ -18,6 +19,7 @@ x -> x C, i.e. as the vector field sum_ij C[i][j] x_i d_j; that convention is
 what reproduces the printed kernel bases of the catalog strata.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -31,13 +33,14 @@ from .fields import (
     PolyVectorField,
     _Value,
     _add_products,
+    _bracket_with,
     _canonical,
     _operands,
     _pack,
+    _sequence,
     _sort_with_sign,
     euler,
     linear_vector_field,
-    schouten,
     wedge,
 )
 from .duality import (
@@ -187,8 +190,10 @@ class QuadraticConstraintSet(_Value):
     __slots__ = _fields = ("parameters", "constraints")
 
     def __init__(self, parameters, constraints):
-        _Value.__init__(self, tuple(parameters),
-                        tuple(MappingProxyType(dict(c)) for c in constraints))
+        name = "QuadraticConstraintSet"
+        _Value.__init__(self, _sequence(name, parameters, str),
+                        tuple(MappingProxyType(dict(c))
+                              for c in _sequence(name, constraints, Mapping)))
 
     def __hash__(self):
         return hash((self.parameters, tuple(frozenset(c.items()) for c in self.constraints)))
@@ -240,9 +245,9 @@ def centralizer_kernel(c_matrix, k):
     if k < 0:
         raise PreconditionError(f"polynomial degree must be >= 0, got {k}")
     n = c_matrix.dim
-    c_field = matrix_action_field(c_matrix)
     keys = [(_pack(n, exp), (j,)) for exp in monomial_exponents(n, k) for j in range(1, n + 1)]
-    kernel = _operator_kernel(PolyVectorField, n, keys, lambda a: schouten(c_field, a))
+    bracket = _bracket_with(matrix_action_field(c_matrix))
+    kernel = _operator_kernel(PolyVectorField, n, keys, bracket)
     return SolutionSpace._independent(f"P^({k},1) in dimension {n}", kernel)
 
 
@@ -304,7 +309,7 @@ def compatible_cubic_oneforms(a_matrix):
     Volume duality intertwines the two operators: for linear A,
     L_A theta = Psi[A, Psi^-1 theta] + tr(A) theta.  A is trace-free here, so
     L_A theta = 0 exactly when [A, Psi^-1 theta] = 0, and the operator is
-    applied through ``schouten`` as in ``centralizer_kernel``.  Psi is a
+    applied through ``fields._bracket_with`` as in ``centralizer_kernel``.  Psi is a
     signed bijection on term keys, so this matrix and that of L_A differ
     only in row order and signs: the same nullspace and canonical basis.
     """
@@ -313,20 +318,19 @@ def compatible_cubic_oneforms(a_matrix):
         raise DimensionError("quadratic catalog lives in dimension 4")
     if a_matrix.trace() != 0:
         raise PreconditionError("stratum matrix must be trace-free")
-    a_field = matrix_action_field(a_matrix)
+    bracket = _bracket_with(matrix_action_field(a_matrix))
     keys = [(_pack(4, exp), (k,)) for k in range(1, 5) for exp in CUBIC4_DISPLAY_ORDER]
-    kernel = _operator_kernel(PolyDifferentialForm, 4, keys,
-                              lambda th: schouten(a_field, from_form(th)))
+    kernel = _operator_kernel(PolyDifferentialForm, 4, keys, lambda th: bracket(from_form(th)))
     return SolutionSpace._independent(
         "cubic 1-forms in dimension 4 (80 coefficients)", kernel)
 
 
-# The six ordered pairs (ab, cd) of complementary index pairs of (1, 2, 3, 4)
-# with the sign of the permutation (a, b, c, d).
-_COMPLEMENTARY_PAIRS = tuple(
-    (ab, cd, _sort_with_sign(ab + cd)[0])
+# Each index pair ab of (1, 2, 3, 4) mapped to its complementary pair cd and
+# the sign of the permutation (a, b, c, d).
+_COMPLEMENTS = {
+    ab: (cd, _sort_with_sign(ab + cd)[0])
     for ab in combinations(range(1, 5), 2)
-    for cd in [tuple(j for j in range(1, 5) if j not in ab)])
+    for cd in [tuple(j for j in range(1, 5) if j not in ab)]}
 
 
 def quartic_constraints(space):
@@ -346,30 +350,35 @@ def _quartic_pairing(dthetas):
 
     The coefficient of c_i c_j (i <= j) is (2 - [i = j]) (d theta_i /\\
     d theta_j)_{1234}, and in dimension four that component is the signed sum
-    over the six ordered complementary index pairs (ab, cd) of
-    (d theta_i)_{ab} (d theta_j)_{cd}.  The integer numerators of each
-    d theta_i, over its denominator D_i, are read in their stored groups by
-    index pair; a pair (i, j) accumulates in integers through
-    ``_add_products``, each product monomial the sum of two packed keys,
-    and each nonzero coefficient becomes one
+    over the index pairs ab of d theta_i of (d theta_i)_{ab} (d theta_j)_{cd},
+    cd the pair complementary to ab.  Each index pair cd is mapped to the j
+    whose d theta_j has a group at cd, so only the groups that meet are
+    visited.  The integer numerators of each d theta_i, over its denominator
+    D_i, are read in their stored groups; a pair (i, j) accumulates in
+    integers through ``_add_products``, each product monomial the sum of two
+    packed keys, and each nonzero coefficient becomes one
     ``Fraction(factor * total, D_i * D_j)``.
     """
-    buckets = [(dtheta.den, dtheta.nums) for dtheta in dthetas]
+    holders = {}
+    for j, dtheta in enumerate(dthetas):
+        for cd in dtheta.nums:
+            holders.setdefault(cd, []).append(j)
     per_monomial = {}
-    for i, (d_i, left) in enumerate(buckets):
-        for j in range(i, len(buckets)):
-            d_j, right = buckets[j]
-            totals = {}
-            for ab, cd, sign in _COMPLEMENTARY_PAIRS:
-                if ab not in left or cd not in right:
-                    continue
-                _add_products(totals, left[ab].items(), right[cd].items(), sign < 0)
+    for i, dtheta in enumerate(dthetas):
+        met = {}
+        for ab, left in dtheta.nums.items():
+            cd, sign = _COMPLEMENTS[ab]
+            for j in holders.get(cd, ()):
+                if j >= i:
+                    _add_products(met.setdefault(j, {}), left.items(),
+                                  dthetas[j].nums[cd].items(), sign < 0)
+        for j in sorted(met):
             factor = 1 if i == j else 2
-            for key, total in totals.items():
+            den = dtheta.den * dthetas[j].den
+            for key, total in met[j].items():
                 if total:
-                    per_monomial.setdefault(key, {})[(i, j)] = Fraction(
-                        factor * total, d_i * d_j)
-    parameters = tuple(f"c{i + 1}" for i in range(len(buckets)))
+                    per_monomial.setdefault(key, {})[(i, j)] = Fraction(factor * total, den)
+    parameters = tuple(f"c{i + 1}" for i in range(len(dthetas)))
     constraints = tuple(per_monomial[key] for key in sorted(per_monomial))
     return QuadraticConstraintSet(parameters=parameters, constraints=constraints)
 

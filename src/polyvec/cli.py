@@ -26,8 +26,9 @@ from fractions import Fraction
 
 from . import __version__, classifier, invariants
 from .errors import DimensionError, DomainError, ParseError, PolyvecError, PreconditionError
-from .fields import (LinearMatrix, PolyVectorField, _ambient_dim, _canonical, _operands,
-                     _SparseTerms, _unpack, _Value, _variable_key, schouten, wedge)
+from .fields import (LinearMatrix, PolyVectorField, _ambient_dim, _canonical, _integer,
+                     _operands, _sequence, _SparseTerms, _unpack, _Value, _variable_key,
+                     schouten, wedge)
 from .duality import dim_irrep, trace_d
 from .decomposition import decompose
 from .structures import (
@@ -94,6 +95,12 @@ class ExpressionAST(_Value):
     ascending partials)."""
 
     __slots__ = _fields = ("dim", "terms")
+
+    def __init__(self, dim, terms):
+        terms = _sequence("ExpressionAST", terms, tuple)
+        if any(len(term) != 3 for term in terms):
+            raise TypeError("ExpressionAST takes terms (coefficient, exponents, partials)")
+        _Value.__init__(self, _integer("ExpressionAST", dim), terms)
 
     def to_field(self):
         return PolyVectorField(self.dim, {(exp, idx): c for c, exp, idx in self.terms})

@@ -15,6 +15,7 @@ from .fields import (
     PolyVectorField,
     _add_products,
     _derivative_buckets,
+    _integer,
     _operands,
     _shift,
     _SparseTerms,
@@ -29,6 +30,9 @@ class VolumeConvention(_Value):
     """Marker for the fixed orientation dx^1 /\\ ... /\\ dx^n."""
 
     __slots__ = _fields = ("dim",)
+
+    def __init__(self, dim):
+        _Value.__init__(self, _integer("VolumeConvention", dim))
 
     def epsilon(self, indices):
         """Totally antisymmetric symbol with epsilon_{1..n} = +1."""

@@ -50,7 +50,7 @@ Schouten bracket and ``duality.exterior_derivative`` read.
 """
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import index, lt
 from struct import pack, unpack
@@ -193,6 +193,9 @@ class BiDegree(_Value):
 
     __slots__ = _fields = ("k", "ell")
 
+    def __init__(self, k, ell):
+        _Value.__init__(self, _integer("BiDegree", k), _integer("BiDegree", ell))
+
     @property
     def delta(self):
         return self.k - self.ell
@@ -234,6 +237,28 @@ def _operands(name, *operands):
         for value, _ in operands[1:]:
             if value.dim != dim:
                 raise DimensionError(f"dimension mismatch: {dim} vs {value.dim}")
+
+
+def _integer(name, value):
+    """``value`` read through ``operator.index`` once, or ``TypeError`` in
+    the words of ``_operands``."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} takes int, not {type(value).__name__}") from None
+
+
+def _sequence(name, values, kind):
+    """``values`` as a tuple of values of ``kind``: ``TypeError`` in the
+    words of ``_operands`` for a ``str`` or another value that is not
+    iterable, and for an item of another kind."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise TypeError(f"{name} takes an iterable of {kind.__name__}, "
+                        f"not {type(values).__name__}")
+    values = tuple(values)
+    for value in values:
+        _operands(name, (value, kind))
+    return values
 
 
 def _add_products(sums, left, right, negate):
@@ -584,6 +609,21 @@ def _slot_derivatives(grouped, groups, buckets, twist):
                 _add_products(sums, terms.items(), derivatives, sign < 0)
 
 
+def _bracket_with(u):
+    """The operator ``v -> [u, v]`` of one field ``u``, for a caller that
+    brackets ``u`` with many fields: ``u``'s derivative buckets are built
+    once, and each call runs the two halves of the one kernel.  The caller
+    checks the operands."""
+    u_buckets = _derivative_buckets(u.dim, u.nums)
+
+    def bracket(v):
+        grouped = {}
+        _slot_derivatives(grouped, u.nums, _derivative_buckets(u.dim, v.nums), False)
+        _slot_derivatives(grouped, v.nums, u_buckets, True)
+        return PolyVectorField._reduced(u.dim, grouped, u.den * v.den)
+    return bracket
+
+
 def schouten(u, v):
     """Schouten bracket of two poly-vector fields.
 
@@ -596,12 +636,22 @@ def schouten(u, v):
     partial slot meets a variable of the other coefficient are visited, the
     packed keys of each pair add with one ``+``, and the totals over the
     product of the two denominators are normalised once at the end.
+
+    A self-bracket (``v is u``) runs one half: by graded antisymmetry the
+    twisted half equals the untwisted one on each pair of index groups of
+    even length and cancels it on every other pair, so ``[u, u]`` is twice
+    the untwisted half of the even groups of ``u``, and each pair of its
+    terms is visited once.
     """
     _operands("the Schouten bracket", (u, PolyVectorField), (v, PolyVectorField))
+    if v is not u:
+        return _bracket_with(u)(v)
+    even = {idx: terms for idx, terms in u.nums.items() if not len(idx) % 2}
     grouped = {}
-    _slot_derivatives(grouped, u.nums, _derivative_buckets(u.dim, v.nums), False)
-    _slot_derivatives(grouped, v.nums, _derivative_buckets(u.dim, u.nums), True)
-    return PolyVectorField._reduced(u.dim, grouped, u.den * v.den)
+    _slot_derivatives(grouped, even, _derivative_buckets(u.dim, even), False)
+    return PolyVectorField._reduced(
+        u.dim, {idx: {p: 2 * t for p, t in sums.items()} for idx, sums in grouped.items()},
+        u.den * u.den)
 
 
 def radial_field(n):

@@ -105,13 +105,15 @@ def _shifted_degree(f):
 
 def triple_failures(uf, vf, wf):
     """The bracket, wedge and trace identities on three nonzero fields, each
-    of a single vector degree."""
+    of a single vector degree.  ``[u, u]`` runs the one-half route of a
+    self-bracket, and an equal copy of u that is not u the two-half route."""
     u, v, w = (_shifted_degree(f) for f in (uf, vf, wf))
     lv = v + 1
     uv, vw, wu = schouten(uf, vf), schouten(vf, wf), schouten(wf, uf)
     u_v, v_w = wedge(uf, vf), wedge(vf, wf)
     du, dv = trace_d(uf), trace_d(vf)
     du_u = schouten(du, uf)
+    uu = schouten(uf, uf)
     return _failed([
         ("graded Jacobi identity",
          (schouten(uf, vw).scale(sgn(u * w)) + schouten(wf, uv).scale(sgn(v * w))
@@ -129,8 +131,8 @@ def triple_failures(uf, vf, wf):
          trace_d(uv) == schouten(uf, dv) - schouten(du, vf).scale(sgn(lv))),
         ("[Du, u] = -[u, Du]", du_u == -schouten(uf, du)),
         ("Du/\\u = u/\\Du", wedge(du, uf) == wedge(uf, du)),
-        ("Poisson implies [Du, u] = 0",
-         u % 2 == 0 or not schouten(uf, uf).is_zero() or du_u.is_zero()),
+        ("[u, u] = [u, copy of u]", uu == schouten(uf, PolyVectorField(uf.dim, uf.terms))),
+        ("Poisson implies [Du, u] = 0", u % 2 == 0 or not uu.is_zero() or du_u.is_zero()),
     ])
 
 

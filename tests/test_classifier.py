@@ -466,25 +466,80 @@ QUAD4_CONJUGATE = LinearMatrix([[1, 1, 0, 0], [0, 2, 0, 0], [0, 0, 1, 1], [1, 0,
 QUAD4_CONJUGATE = QUAD4_CONJUGATE.matmul(QUAD4_DIAGONAL).matmul(QUAD4_CONJUGATE.inverse())
 
 
+def _count_brackets(monkeypatch):
+    """Count the operators ``[C, .]`` that ``classifier`` builds through
+    ``fields._bracket_with``, the one Schouten kernel, and the brackets that
+    they make."""
+    from polyvec import classifier, fields
+    counts = {"operators": 0, "brackets": 0}
+
+    def building(u):
+        counts["operators"] += 1
+        bracket = fields._bracket_with(u)
+
+        def counting(v):
+            counts["brackets"] += 1
+            return bracket(v)
+        return counting
+
+    monkeypatch.setattr(classifier, "_bracket_with", building)
+    return counts
+
+
 @pytest.mark.parametrize("matrix", [QUAD4_DIAGONAL, QUAD4_NILPOTENT, QUAD4_ROTATION,
                                     LinearMatrix.diagonal([0, 0, 0, 0]), QUAD4_CONJUGATE],
                          ids=["diagonal", "nilpotent", "rotation", "zero", "conjugate"])
 def test_quad4_catalog_builds_each_object_once(monkeypatch, matrix):
-    """One d theta per kernel element, the operator [A, Psi^-1 .] only on the
-    80 basis forms and through the Schouten kernel (no Cartan formula), one
-    trace term per stratum, no wedge of forms (condition (ii) is read off the
-    quartic constraints), no trip through the checked public constructor, and
-    one Poisson check per generator."""
+    """One d theta per kernel element, one operator [A, Psi^-1 .] that
+    brackets only the 80 basis forms through the Schouten kernel (no Cartan
+    formula), one trace term per stratum, no wedge of forms (condition (ii)
+    is read off the quartic constraints), no trip through the checked public
+    constructor, and one Poisson check per generator."""
     from polyvec import classifier
+    brackets = _count_brackets(monkeypatch)
     counts = _count_calls(monkeypatch, classifier, [
         "build_quadratic_poisson", "wedge_forms", "exterior_derivative",
-        "lie_derivative_form", "schouten", "wedge", "is_poisson"])
+        "lie_derivative_form", "wedge", "is_poisson"])
     case = quad4_catalog(matrix)
     assert len(case.generators) > 0
+    assert brackets == {"operators": 1, "brackets": 80}
     assert counts == {
         "build_quadratic_poisson": 0, "wedge_forms": 0,
         "exterior_derivative": case.kernel.dimension, "lie_derivative_form": 0,
-        "schouten": 80, "wedge": 1, "is_poisson": len(case.generators)}
+        "wedge": 1, "is_poisson": len(case.generators)}
+
+
+@pytest.mark.parametrize("label", sorted(CUBIC3_STRATA))
+def test_cubic3_catalog_builds_each_object_once(monkeypatch, label):
+    """One operator [C, .] that brackets only the 18 quadratic unit vector
+    fields through the Schouten kernel, one trace-free part per kernel
+    element, one wedge and one Poisson check per generator."""
+    from polyvec import classifier
+    brackets = _count_brackets(monkeypatch)
+    counts = _count_calls(monkeypatch, classifier, ["decompose", "wedge", "is_poisson"])
+    case = cubic3_catalog(CUBIC3_STRATA[label])
+    assert len(case.generators) > 0
+    assert brackets == {"operators": 1, "brackets": 18}
+    assert counts == {"decompose": case.kernel.dimension,
+                      "wedge": len(case.generators), "is_poisson": len(case.generators)}
+
+
+@pytest.mark.parametrize("label", sorted(CUBIC3_STRATA) + sorted(QUAD4_STRATA))
+def test_kernel_buckets_its_operator_once(monkeypatch, label):
+    """The derivative buckets of the operator's linear field are built once
+    per kernel and those of each unit once: units + 1 in all."""
+    from polyvec import fields
+    calls = []
+    real = fields._derivative_buckets
+
+    def counting(dim, nums):
+        calls.append(nums)
+        return real(dim, nums)
+
+    monkeypatch.setattr(fields, "_derivative_buckets", counting)
+    kernel, _ = _stratum_kernel(label)
+    kernel()
+    assert len(calls) == (18 if label in CUBIC3_STRATA else 80) + 1
 
 
 def test_quad4_catalog_generators_match_the_checked_constructor():

@@ -38,11 +38,11 @@ WRONG = {
     "str": "x1*d1",
 }
 
-# The value records the library builds and returns.  Their constructors
-# store the fields they are given and check nothing; copy and pickle rebuild
-# them through those constructors (``test_values.py``).
-RECORDS = {"BiDegree", "ClassificationCase", "DecompositionResult", "ExpressionAST",
-           "QuadraticConstraintSet", "VolumeConvention"}
+# The value records the library builds and returns whose constructors store
+# the fields they are given and check nothing; copy and pickle rebuild them
+# through those constructors (``test_values.py``).  The records that check
+# their fields are in ``TABLE``.
+RECORDS = {"ClassificationCase", "DecompositionResult"}
 
 _F2 = WRONG["field"]
 _W2 = WRONG["form"]
@@ -72,13 +72,20 @@ def _run(argv):
 # name: (callable, arguments of a call that succeeds, kind of each parameter).
 # A kind of WRONG accepts its own substitute; any other kind accepts none.
 TABLE = {
+    "BiDegree": (polyvec.BiDegree, lambda: (2, 1), ("int", "int")),
+    "ExpressionAST": (polyvec.ExpressionAST, lambda: (2, ((1, (1, 0), (2,)),)),
+                      ("int", "terms")),
     "JacobiPair": (JacobiPair, lambda: (_L3, _Z3), ("field", "field")),
     "LinearMatrix": (LinearMatrix, lambda: ([[1, "1/2"], [0, 1]],), ("rows",)),
     "PolyDifferentialForm": (polyvec.PolyDifferentialForm, lambda: (2, {((1, 0), (2,)): 1}),
                              ("int", "mapping")),
     "PolyVectorField": (PolyVectorField, lambda: (2, {((1, 0), (2,)): 1}), ("int", "mapping")),
+    "QuadraticConstraintSet": (polyvec.QuadraticConstraintSet,
+                               lambda: (["c1", "c2"], [{(0, 1): 1}]),
+                               ("parameters", "constraints")),
     "RMatrix": (RMatrix, lambda: (2, {((1, 1), (2, 2)): 1}), ("int", "mapping")),
     "SolutionSpace": (SolutionSpace, lambda: ("P", [_F2]), ("str", "family")),
+    "VolumeConvention": (polyvec.VolumeConvention, lambda: (3,), ("int",)),
     "are_associated": (polyvec.are_associated, lambda: (_L3, JacobiPair(_L3, _Z3)),
                        ("field", "pair")),
     "bracket_parts": (polyvec.bracket_parts, lambda: (_F2, _F2), ("field", "field")),
@@ -190,6 +197,10 @@ _CALLS = {
     "SolutionSpace": lambda: SolutionSpace("a", [1, 2]),
     "format_expr": lambda: polyvec.format_expr(3),
     "catalog_document": lambda: cli.catalog_document(_F2),
+    "BiDegree": lambda: polyvec.BiDegree("x1*d1", 1),
+    "VolumeConvention": lambda: polyvec.VolumeConvention("x"),
+    "ExpressionAST": lambda: polyvec.ExpressionAST(2, "x1*d1"),
+    "QuadraticConstraintSet": lambda: polyvec.QuadraticConstraintSet(("c1",), "x1"),
 }
 
 
@@ -197,6 +208,7 @@ _CALLS = {
 def test_a_tuple_list_or_field_in_place_of_a_value_raises_type_error(name):
     """A tuple for a ``JacobiPair``, a list for a ``LinearMatrix`` or a
     ``SolutionSpace``, plain values for fields, a field for an ``RMatrix``
-    or a ``ClassificationCase``: the ``TypeError`` names the callable."""
+    or a ``ClassificationCase``, a string for a record's integer or terms:
+    the ``TypeError`` names the callable."""
     with pytest.raises(TypeError, match=name):
         _CALLS[name]()

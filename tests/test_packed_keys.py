@@ -216,11 +216,20 @@ def schouten_pairs(u, v):
                for eb, ib in b.terms)
 
 
+def self_schouten_pairs(u):
+    """The term pairs a self-bracket ``[u, u]`` must multiply: one half, on
+    the terms of even vector degree only, each pair once."""
+    even = [key for key in u.terms if len(key[1]) % 2 == 0]
+    return sum(eb[j - 1] > 0 and merge_indices(ia[:t] + ia[t + 1:], ib) is not None
+               for _, ia in even for t, j in enumerate(ia) for eb, ib in even)
+
+
 def test_add_products_is_the_one_product_loop(monkeypatch):
     """Every kernel that multiplies packed terms reaches
     ``fields._add_products``, and the term pairs that the wedge and the
     Schouten bracket hand it are exactly the pairs they must visit: the
-    count that a per-kernel counter or work budget reads."""
+    count that a per-kernel counter or work budget reads.  A self-bracket
+    visits only the pairs of its even groups, each once."""
     real = fields._add_products
     modules = (fields, duality, structures, classifier)
     assert {m for m in vars(polyvec).values()
@@ -240,14 +249,19 @@ def test_add_products_is_the_one_product_loop(monkeypatch):
         u, v = (sum((random_nonzero(rng, n, rng.randint(0, 3), rng.randint(0, n), 4)
                      for _ in range(3)), PolyVectorField.zero(n)) for _ in range(2))
         cases.append((u, v))
-    visited = 0
+    visited = self_visited = 0
     for u, v in cases:
         for kernel, expected in ((wedge, wedge_pairs), (schouten, schouten_pairs)):
             pairs.clear()
             kernel(u, v)
             assert sum(pairs) == expected(u, v), (kernel.__name__, u, v)
             visited += sum(pairs)
-    assert visited > 400
+        for w in (u, v):
+            pairs.clear()
+            schouten(w, w)
+            assert sum(pairs) == self_schouten_pairs(w), w
+            self_visited += sum(pairs)
+    assert visited > 400 and self_visited > 30
 
     x = parse_field("x2*d1 - 2*x1*x3*d3", 3)
     omega = to_form(parse_field("x1*d1/\\d2 + x3^2*d2/\\d3 + d1", 3))

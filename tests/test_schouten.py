@@ -100,3 +100,38 @@ def test_schouten_cancelling_brackets_are_empty():
     # [e0, A] = (k - l) A vanishes on a field with k = l
     a = rational_field(rng, 5, [(2, 2)], nterms=6)
     assert schouten(radial_field(5), a).is_zero()
+
+
+def test_self_bracket_equals_the_two_half_route():
+    """``schouten(u, u)`` runs one half on the groups of even length; an
+    equal copy of u that is not u takes the two-half route, and the two
+    agree on seeded fields that mix odd and even vector degrees."""
+    rng = random.Random(31)
+    mixed = nonzero = 0
+    for _ in range(1500):
+        n = rng.randint(2, 5)
+        u = rational_field(rng, n, random_components(rng, n, rng.randint(1, 3)), nterms=3)
+        copy = PolyVectorField(u.dim, u.terms)
+        assert copy == u and copy is not u
+        result = schouten(u, u)
+        assert result == schouten(u, copy)
+        assert_canonical(result)
+        mixed += len({len(idx) % 2 for idx in u.nums}) == 2
+        nonzero += not result.is_zero()
+    assert mixed > 300 and nonzero > 300
+
+
+def test_a_field_of_odd_groups_self_brackets_to_zero():
+    """With no group of even length there is no half to run: [u, u] = 0,
+    while the two halves of [u, copy of u] cancel pair by pair."""
+    u = pv("x2*d1 + x1^2*d2 + x3*x4*d1/\\d2/\\d4 - 2/3*x1*d2/\\d3/\\d4", 4)
+    assert schouten(u, u).is_zero()
+    assert schouten_pairwise(u, u).is_zero()
+    assert schouten(u, PolyVectorField(u.dim, u.terms)).is_zero()
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        odd = [(rng.randint(0, 3), rng.choice(range(1, n + 1, 2))) for _ in range(2)]
+        u = rational_field(rng, n, odd)
+        assert schouten(u, u).is_zero()
+        assert schouten(u, PolyVectorField(u.dim, u.terms)).is_zero()
