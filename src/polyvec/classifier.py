@@ -10,9 +10,10 @@ d theta /\\ d theta = 0, and build Poisson structures Psi^-1(d theta) + A /\\ e^
 For linear A the volume duality Psi turns the Lie derivative into a bracket,
 L_A theta = Psi[A, Psi^-1 theta] + tr(A) theta, and A is trace-free, so the
 kernel equation is [A, Psi^-1 theta] = 0: both catalogs solve [C, U] = 0
-through the one Schouten kernel, as ``fields._bracket_with(C)``, which builds
-the derivative buckets of C once per kernel.  ``lie_derivative_form`` (the Cartan
-formula) stays the independent route of ``build_quadratic_poisson``.
+over the unit terms U through the one Schouten kernel, whose raw integer
+totals fill the matrix rows with no value built per unit.
+``lie_derivative_form`` (the Cartan formula) stays the independent route of
+``build_quadratic_poisson``.
 
 Throughout, a matrix C acts on coordinates in the row convention
 x -> x C, i.e. as the vector field sum_ij C[i][j] x_i d_j; that convention is
@@ -21,8 +22,6 @@ what reproduces the printed kernel bases of the catalog strata.
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
 from types import MappingProxyType
 
 from .errors import DimensionError, PreconditionError
@@ -35,16 +34,19 @@ from .fields import (
     _add_products,
     _bracket_with,
     _canonical,
+    _check_degrees,
+    _integer,
     _operands,
     _pack,
     _sequence,
-    _sort_with_sign,
     euler,
     linear_vector_field,
     wedge,
 )
 from .duality import (
     PolyDifferentialForm,
+    _complement,
+    _dual_groups,
     exterior_derivative,
     from_form,
     lie_derivative_form,
@@ -124,29 +126,25 @@ def _from_coordinates(cls, dim, keys, items):
     return cls._wrap(dim, *_canonical(raw))
 
 
-def _operator_kernel(cls, dim, keys, operator):
+def _operator_kernel(cls, dim, keys, image):
     """Exact nullspace of a linear operator on the span of the unit terms of
     ``cls`` at ``keys``; the order of ``keys`` fixes the canonical basis.
 
-    The matrix has one sparse row per term key of the images: row ``key``
-    maps the column of each unit to the coefficient of ``key`` in its image,
-    so it goes to ``linalg.nullspace`` without a dense transpose.  Each row
-    is passed as integers, its numerators over the lcm of the images'
-    denominators in that row: scaling a row changes no nullspace.  A
+    ``image(packed, idx)`` returns the raw integer totals ``{indices:
+    {packed: total}}`` of the image of the unit at ``(packed, idx)``, and
+    the kernel checks each group by ``_check_degrees``.  Every image has the same
+    denominator, the action field's ``den`` times 1, and a common factor
+    changes no nullspace, so row ``key`` of the sparse integer matrix maps
+    the column of each unit to its total at ``key``, with no transpose.  A
     nullspace vector is the coefficient vector of its element over ``keys``.
     """
     rows = {}
     for j, (packed, idx) in enumerate(keys):
-        image = operator(cls._wrap(dim, {idx: {packed: 1}}, 1))
-        den = image.den
-        for image_idx, group in image.nums.items():
-            for image_packed, c in group.items():
-                rows.setdefault((image_packed, image_idx), []).append((j, c, den))
-    matrix = []
-    for entries in rows.values():
-        common = lcm(*(den for _, _, den in entries))
-        matrix.append({j: c * (common // den) for j, c, den in entries})
-    vectors = linalg.nullspace(matrix, len(keys))
+        for image_idx, sums in image(packed, idx).items():
+            _check_degrees(sums)
+            for image_packed, c in sums.items():
+                rows.setdefault((image_packed, image_idx), {})[j] = c
+    vectors = linalg.nullspace(list(rows.values()), len(keys))
     return [_from_coordinates(cls, dim, keys, enumerate(v)) for v in vectors]
 
 
@@ -182,18 +180,24 @@ class QuadraticConstraintSet(_Value):
 
     Each constraint is a mapping (i, j) -> coefficient with i <= j standing
     for the monomial c_i c_j; a parameter tuple lies on the zero locus iff it
-    annihilates every constraint.  The parameters are stored as a tuple and
-    each constraint as a read-only view of a copy, so the set hashes and no
-    write can change it.
+    annihilates every constraint.  A key that is not an integer pair with
+    0 <= i <= j < len(parameters) raises ``DimensionError``.  The parameters
+    are stored as a tuple and each constraint as a read-only view of a copy,
+    so the set hashes and no write can change it.
     """
 
     __slots__ = _fields = ("parameters", "constraints")
 
     def __init__(self, parameters, constraints):
         name = "QuadraticConstraintSet"
-        _Value.__init__(self, _sequence(name, parameters, str),
-                        tuple(MappingProxyType(dict(c))
-                              for c in _sequence(name, constraints, Mapping)))
+        parameters = _sequence(name, parameters, str)
+        constraints = tuple(map(dict, _sequence(name, constraints, Mapping)))
+        m = len(parameters)
+        for key in (key for constraint in constraints for key in constraint):
+            if not (type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
+                    and 0 <= key[0] <= key[1] < m):
+                raise DimensionError(f"constraint key {key!r} is not a pair 0 <= i <= j < {m}")
+        _Value.__init__(self, parameters, tuple(map(MappingProxyType, constraints)))
 
     def __hash__(self):
         return hash((self.parameters, tuple(frozenset(c.items()) for c in self.constraints)))
@@ -242,26 +246,24 @@ def matrix_action_field(matrix):
 def centralizer_kernel(c_matrix, k):
     """Basis of {A in P^(k,1) : [C, A] = 0} by exact elimination."""
     _operands("centralizer_kernel", (c_matrix, LinearMatrix))
+    k = _integer("centralizer_kernel", k)
     if k < 0:
         raise PreconditionError(f"polynomial degree must be >= 0, got {k}")
     n = c_matrix.dim
     keys = [(_pack(n, exp), (j,)) for exp in monomial_exponents(n, k) for j in range(1, n + 1)]
     bracket = _bracket_with(matrix_action_field(c_matrix))
-    kernel = _operator_kernel(PolyVectorField, n, keys, bracket)
+    kernel = _operator_kernel(PolyVectorField, n, keys,
+                              lambda packed, idx: bracket({idx: {packed: 1}}))
     return SolutionSpace._independent(f"P^({k},1) in dimension {n}", kernel)
 
 
 def tracefree_projection(space):
     """Independent basis of the trace-free parts of a solution space."""
     _operands("tracefree_projection", (space, SolutionSpace))
-    projected = [decompose(a).tracefree for a in space.basis]
-    projected = [p for p in projected if not p.is_zero()]
-    if not projected:
-        return SolutionSpace._independent(f"trace-free part of {space.ambient}", ())
+    projected = [p for p in (decompose(a).tracefree for a in space.basis) if not p.is_zero()]
     keys, rows = _coordinatize(projected)
-    reduced, _ = linalg.rref(rows)
-    dim = projected[0].dim
-    fields = [_from_coordinates(PolyVectorField, dim, keys, row.items()) for row in reduced]
+    fields = [_from_coordinates(PolyVectorField, projected[0].dim, keys, row.items())
+              for row in linalg.rref(rows)[0]]
     return SolutionSpace._independent(f"trace-free part of {space.ambient}", fields)
 
 
@@ -308,9 +310,9 @@ def compatible_cubic_oneforms(a_matrix):
 
     Volume duality intertwines the two operators: for linear A,
     L_A theta = Psi[A, Psi^-1 theta] + tr(A) theta.  A is trace-free here, so
-    L_A theta = 0 exactly when [A, Psi^-1 theta] = 0, and the operator is
-    applied through ``fields._bracket_with`` as in ``centralizer_kernel``.  Psi is a
-    signed bijection on term keys, so this matrix and that of L_A differ
+    L_A theta = 0 exactly when [A, Psi^-1 theta] = 0, and Psi^-1 of a unit
+    1-form is one signed unit group, from ``duality._dual_groups``.  Psi is
+    a signed bijection on term keys, so this matrix and that of L_A differ
     only in row order and signs: the same nullspace and canonical basis.
     """
     _operands("compatible_cubic_oneforms", (a_matrix, LinearMatrix))
@@ -320,17 +322,10 @@ def compatible_cubic_oneforms(a_matrix):
         raise PreconditionError("stratum matrix must be trace-free")
     bracket = _bracket_with(matrix_action_field(a_matrix))
     keys = [(_pack(4, exp), (k,)) for k in range(1, 5) for exp in CUBIC4_DISPLAY_ORDER]
-    kernel = _operator_kernel(PolyDifferentialForm, 4, keys, lambda th: bracket(from_form(th)))
+    kernel = _operator_kernel(PolyDifferentialForm, 4, keys, lambda packed, idx: bracket(
+        _dual_groups({idx: {packed: 1}}, 4, True)))
     return SolutionSpace._independent(
         "cubic 1-forms in dimension 4 (80 coefficients)", kernel)
-
-
-# Each index pair ab of (1, 2, 3, 4) mapped to its complementary pair cd and
-# the sign of the permutation (a, b, c, d).
-_COMPLEMENTS = {
-    ab: (cd, _sort_with_sign(ab + cd)[0])
-    for ab in combinations(range(1, 5), 2)
-    for cd in [tuple(j for j in range(1, 5) if j not in ab)]}
 
 
 def quartic_constraints(space):
@@ -351,7 +346,8 @@ def _quartic_pairing(dthetas):
     The coefficient of c_i c_j (i <= j) is (2 - [i = j]) (d theta_i /\\
     d theta_j)_{1234}, and in dimension four that component is the signed sum
     over the index pairs ab of d theta_i of (d theta_i)_{ab} (d theta_j)_{cd},
-    cd the pair complementary to ab.  Each index pair cd is mapped to the j
+    cd the pair complementary to ab and the sign that of (a, b, c, d), both
+    read off ``duality._complement``.  Each index pair cd is mapped to the j
     whose d theta_j has a group at cd, so only the groups that meet are
     visited.  The integer numerators of each d theta_i, over its denominator
     D_i, are read in their stored groups; a pair (i, j) accumulates in
@@ -367,7 +363,7 @@ def _quartic_pairing(dthetas):
     for i, dtheta in enumerate(dthetas):
         met = {}
         for ab, left in dtheta.nums.items():
-            cd, sign = _COMPLEMENTS[ab]
+            sign, cd = _complement(ab, 4)
             for j in holders.get(cd, ()):
                 if j >= i:
                     _add_products(met.setdefault(j, {}), left.items(),

@@ -123,6 +123,7 @@ def parse_field(text, n):
     partials with their sign and drops a repeated partial and a zero sum.
     """
     _operands("parse_field", (text, str))
+    n = _integer("parse_field", n)
     if not text.strip():
         raise ParseError("empty expression", 0)
     tokens = _TOKEN.findall(text)
@@ -199,7 +200,7 @@ def parse_field(text, n):
             raise _parse_error(text, i, f"expected '+' or '-', found {tokens[i]!r}")
         sign = -1 if tokens[i] == "-" else 1
         i += 1
-    return PolyVectorField._wrap(_ambient_dim(n), *_canonical(raw))
+    return PolyVectorField._wrap(_ambient_dim("parse_field", n), *_canonical(raw))
 
 
 def _digit_limit_error():

@@ -2,7 +2,8 @@
 
 The orientation is fixed once and for all as the standard volume form
 dx^1 /\\ ... /\\ dx^n, so an l-vector ``x^a d_J`` maps to the (n-l)-form
-``sgn(J, J^c) x^a dx^{J^c}``.  The trace operator is implemented directly by
+``sgn(J, J^c) x^a dx^{J^c}``; ``_complement`` and ``_dual_groups`` are the
+one source of those signs.  The trace operator is implemented directly by
 index contraction; conjugating the exterior derivative through the duality
 gives the same operator and is kept around as the cross-check route.
 """
@@ -14,6 +15,7 @@ from .fields import (
     _MASK,
     PolyVectorField,
     _add_products,
+    _ambient_dim,
     _derivative_buckets,
     _integer,
     _operands,
@@ -27,12 +29,12 @@ from .fields import (
 
 
 class VolumeConvention(_Value):
-    """Marker for the fixed orientation dx^1 /\\ ... /\\ dx^n."""
+    """Marker for the fixed orientation dx^1 /\\ ... /\\ dx^n, n >= 1."""
 
     __slots__ = _fields = ("dim",)
 
     def __init__(self, dim):
-        _Value.__init__(self, _integer("VolumeConvention", dim))
+        _Value.__init__(self, _ambient_dim("VolumeConvention", dim))
 
     def epsilon(self, indices):
         """Totally antisymmetric symbol with epsilon_{1..n} = +1."""
@@ -72,30 +74,30 @@ def _complement(idx, n):
     return merge_indices(idx, comp)[0], comp
 
 
+def _dual_groups(nums, n, inverse):
+    """The stored groups of Psi, or with ``inverse`` of Psi^-1, of ``nums``
+    in dimension n: the group at K moves to its complement J with the sign
+    of (K, J), or for Psi^-1 of (J, K), which differs by (-1)^(|J| |K|)."""
+    out = {}
+    for idx, group in nums.items():
+        sign, comp = _complement(idx, n)
+        if inverse and len(idx) * len(comp) % 2:
+            sign = -sign
+        out[comp] = dict(group) if sign > 0 else {p: -c for p, c in group.items()}
+    return out
+
+
 def to_form(u):
     """Duality against the volume form: an l-vector becomes an (n-l)-form via
-    Psi(U)(W) = Psi(U /\\ W).  Linear and invertible.  The complement is
-    taken once per index group."""
+    Psi(U)(W) = Psi(U /\\ W).  Linear and invertible."""
     _operands("to_form", (u, PolyVectorField))
-    nums = {}
-    for idx, group in u.nums.items():
-        sign, comp = _complement(idx, u.dim)
-        nums[comp] = dict(group) if sign > 0 else {p: -c for p, c in group.items()}
-    return PolyDifferentialForm._wrap(u.dim, nums, u.den)
+    return PolyDifferentialForm._wrap(u.dim, _dual_groups(u.nums, u.dim, False), u.den)
 
 
 def from_form(omega):
-    """Inverse of :func:`to_form`: a covariant tuple K goes back to its
-    complement J with the sign of (J, K), which differs from that of (K, J)
-    by (-1)^(|J| |K|)."""
+    """Inverse of :func:`to_form`."""
     _operands("from_form", (omega, PolyDifferentialForm))
-    nums = {}
-    for idx, group in omega.nums.items():
-        sign, comp = _complement(idx, omega.dim)
-        if len(idx) * len(comp) % 2:
-            sign = -sign
-        nums[comp] = dict(group) if sign > 0 else {p: -c for p, c in group.items()}
-    return PolyVectorField._wrap(omega.dim, nums, omega.den)
+    return PolyVectorField._wrap(omega.dim, _dual_groups(omega.nums, omega.dim, True), omega.den)
 
 
 def exterior_derivative(omega):
@@ -176,6 +178,7 @@ def dim_irrep(n, k, ell):
     Defined for 0 <= l <= n - 1 and k >= 0; for k = l it agrees with
     (1/(k!)^2) prod_{j=1..k} (n^2 - j^2).
     """
+    n, k, ell = (_integer("dim_irrep", value) for value in (n, k, ell))
     if n < 1:
         raise DomainError(f"n must be >= 1, got n={n}")
     if k < 0 or ell < 0:

@@ -30,23 +30,18 @@ fields, and d/dx_m subtracts the key of x_m.  A degree past the bound raises
 checks the degree field of each key of a result through ``_check_degrees``.
 Packed keys have one writer for each input shape: ``_pack`` for an exponent
 tuple and ``_variable_key`` for one coordinate; ``_unpack`` is the one way
-back to a tuple.  ``cli.parse_field`` builds no tuple, but sums the keys of
-the variables it reads under its own, lower, degree cap.  Every builder that
-starts from keys and rationals (the constructor, the parser,
-``linear_vector_field``, ``structures.r_matrix_to_bivector`` and the
-classifier's coordinate inverse) ends in ``_canonical``.
+back to a tuple.  Every builder that starts from keys and rationals ends in
+``_canonical``.
 
 The module provides the wedge product, the Schouten bracket (the unique
 bi-derivation extension of the Lie bracket of vector fields), the scaled
 radial fields and the action of linear diffeomorphisms.  The constructor
 and each kernel accumulate integer numerators and divide out the common
-factor of the result once, through ``_normalised``.  ``_add_products`` is
-the one loop that multiplies packed terms: the wedge, the Schouten bracket,
-``duality.interior_product``, ``pushforward`` once per index group, the
-bordered Pfaffians of ``structures.generic_rank`` and the quartic pairing
-of the dim-4 catalog all multiply through it.  The terms that a
-product differentiates come from ``_derivative_buckets``, which the
-Schouten bracket and ``duality.exterior_derivative`` read.
+factor of the result once, through ``_normalised``; the catalog kernels
+read the raw totals of ``_bracket_with`` and normalise no image.
+``_add_products`` is the one loop that multiplies packed terms, and
+``_derivative_buckets`` the one source of the terms that a product
+differentiates.
 """
 
 import math
@@ -189,12 +184,13 @@ class _Value:
 
 
 class BiDegree(_Value):
-    """Polynomial degree k and multivector degree ell of a homogeneous field."""
+    """Polynomial degree k and multivector degree ell of a homogeneous field, both >= 0."""
 
     __slots__ = _fields = ("k", "ell")
 
     def __init__(self, k, ell):
-        _Value.__init__(self, _integer("BiDegree", k), _integer("BiDegree", ell))
+        _Value.__init__(self, _integer("BiDegree", k, 0, "degree k"),
+                        _integer("BiDegree", ell, 0, "degree ell"))
 
     @property
     def delta(self):
@@ -216,13 +212,9 @@ def _check_degrees(keys):
                 f"{_DEGREE_TOP - 1}")
 
 
-def _ambient_dim(dim):
-    """``dim`` as an ``int`` (``TypeError`` for a float or a string), or
-    ``DimensionError`` below 1."""
-    dim = index(dim)
-    if dim < 1:
-        raise DimensionError(f"ambient dimension must be >= 1, got {dim}")
-    return dim
+def _ambient_dim(name, dim):
+    """``dim`` read through ``_integer`` in its caller's name: an int >= 1."""
+    return _integer(name, dim, 1, "ambient dimension")
 
 
 def _operands(name, *operands):
@@ -239,13 +231,17 @@ def _operands(name, *operands):
                 raise DimensionError(f"dimension mismatch: {dim} vs {value.dim}")
 
 
-def _integer(name, value):
+def _integer(name, value, least=None, label=None):
     """``value`` read through ``operator.index`` once, or ``TypeError`` in
-    the words of ``_operands``."""
+    the words of ``_operands``; a value below ``least``, when given, raises
+    ``DimensionError`` naming it by ``label``."""
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise TypeError(f"{name} takes int, not {type(value).__name__}") from None
+    if least is not None and value < least:
+        raise DimensionError(f"{label} must be >= {least}, got {value}")
+    return value
 
 
 def _sequence(name, values, kind):
@@ -345,7 +341,7 @@ class _SparseTerms(_Value):
         """Take any map of raw keys to exact rationals: each key is checked
         and packed, and the terms are grouped by their indices as given for
         ``_canonical``, which sorts the indices and sums the terms."""
-        dim = _ambient_dim(dim)
+        dim = _ambient_dim(type(self).__name__, dim)
         terms = {} if terms is None else terms
         _operands(type(self).__name__, (terms, Mapping))
         raw = {}
@@ -384,7 +380,7 @@ class _SparseTerms(_Value):
 
     @classmethod
     def zero(cls, dim):
-        return cls._wrap(_ambient_dim(dim), {}, 1)
+        return cls._wrap(_ambient_dim(cls.__name__, dim), {}, 1)
 
     def _combined(self, other, sign):
         """``self + sign * other`` over the lcm of the two denominators; a
@@ -610,17 +606,18 @@ def _slot_derivatives(grouped, groups, buckets, twist):
 
 
 def _bracket_with(u):
-    """The operator ``v -> [u, v]`` of one field ``u``, for a caller that
-    brackets ``u`` with many fields: ``u``'s derivative buckets are built
-    once, and each call runs the two halves of the one kernel.  The caller
+    """The operator that maps the stored groups of a field v to the raw
+    integer totals ``{indices: {packed: total}}`` of [u, v] over ``u.den *
+    v.den``, zero totals and unchecked degrees included.  ``u``'s derivative
+    buckets are built once for all the fields it brackets.  The caller
     checks the operands."""
     u_buckets = _derivative_buckets(u.dim, u.nums)
 
-    def bracket(v):
+    def bracket(nums):
         grouped = {}
-        _slot_derivatives(grouped, u.nums, _derivative_buckets(u.dim, v.nums), False)
-        _slot_derivatives(grouped, v.nums, u_buckets, True)
-        return PolyVectorField._reduced(u.dim, grouped, u.den * v.den)
+        _slot_derivatives(grouped, u.nums, _derivative_buckets(u.dim, nums), False)
+        _slot_derivatives(grouped, nums, u_buckets, True)
+        return grouped
     return bracket
 
 
@@ -645,7 +642,7 @@ def schouten(u, v):
     """
     _operands("the Schouten bracket", (u, PolyVectorField), (v, PolyVectorField))
     if v is not u:
-        return _bracket_with(u)(v)
+        return PolyVectorField._reduced(u.dim, _bracket_with(u)(v.nums), u.den * v.den)
     even = {idx: terms for idx, terms in u.nums.items() if not len(idx) % 2}
     grouped = {}
     _slot_derivatives(grouped, even, _derivative_buckets(u.dim, even), False)
@@ -656,13 +653,14 @@ def schouten(u, v):
 
 def radial_field(n):
     """The radial vector field e0 = x^m d_m."""
-    n = _ambient_dim(n)
+    n = _ambient_dim("radial_field", n)
     return PolyVectorField._wrap(
         n, {(m + 1,): {_variable_key(n, m): 1} for m in range(n)}, 1)
 
 
 def euler(n, k, ell):
     """The scaled radial field e^(k,l) = e0 / (n + k - l), bidegree (1, 1)."""
+    n, k, ell = (_integer("euler", value) for value in (n, k, ell))
     norm = n + k - ell
     if norm == 0:
         raise DegenerateNormalizerError(

@@ -181,8 +181,10 @@ def rank(rows):
 
 
 def _columns_within(rows, ncols):
-    """The rows as mappings ``{column: value}``; a row with a column outside
-    ``range(ncols)`` raises ``DimensionError``.  A row may be shorter."""
+    """The rows as mappings ``{column: value}``; a negative ``ncols`` or a
+    column outside ``range(ncols)`` raises ``DimensionError``."""
+    if ncols < 0:
+        raise DimensionError(f"the number of columns must be >= 0, got {ncols}")
     rows = [_as_mapping(row) for row in rows]
     for row in rows:
         for c in row:

@@ -25,6 +25,7 @@ from .fields import (
     _add_products,
     _canonical,
     _check_degrees,
+    _integer,
     _operands,
     _unpack,
     _variable_key,
@@ -80,9 +81,7 @@ class RMatrix(_Value):
     __slots__ = _fields = ("dim", "coefficients")
 
     def __init__(self, dim, coefficients=None):
-        dim = index(dim)
-        if dim < 1:
-            raise DimensionError(f"dimension must be >= 1, got {dim}")
+        dim = _integer("RMatrix", dim, 1, "dimension")
         coefficients = {} if coefficients is None else coefficients
         _operands("RMatrix", (coefficients, Mapping))
         canonical = {}

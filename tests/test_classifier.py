@@ -542,6 +542,23 @@ def test_kernel_buckets_its_operator_once(monkeypatch, label):
     assert len(calls) == (18 if label in CUBIC3_STRATA else 80) + 1
 
 
+@pytest.mark.parametrize("label", sorted(CUBIC3_STRATA) + sorted(QUAD4_STRATA) + ["conjugate"])
+def test_kernel_normalises_no_image_and_takes_no_form_route(monkeypatch, label):
+    """The kernel rows are read off the raw totals of the unit brackets:
+    ``_normalised`` runs once for the operator's linear field and once for
+    each kernel element, never for an image, and Psi^-1 of a unit 1-form is
+    a signed unit group, not a call of ``from_form``."""
+    from polyvec import classifier, duality, fields
+    normalised = _count_calls(monkeypatch, fields, ["_normalised"])
+    forms = [_count_calls(monkeypatch, module, ["from_form"]) for module in (classifier, duality)]
+    if label == "conjugate":
+        space = compatible_cubic_oneforms(QUAD4_CONJUGATE)
+    else:
+        space = _stratum_kernel(label)[0]()
+    assert normalised == {"_normalised": space.dimension + 1}
+    assert forms == [{"from_form": 0}, {"from_form": 0}]
+
+
 def test_quad4_catalog_generators_match_the_checked_constructor():
     """The assembled generators equal build_quadratic_poisson on the same
     kernel elements, which re-checks conditions (i) and (ii)."""

@@ -204,6 +204,30 @@ _CALLS = {
 }
 
 
+_INTEGER_CALLS = [
+    ("PolyVectorField", lambda: polyvec.PolyVectorField("x", {})),
+    ("PolyDifferentialForm", lambda: polyvec.PolyDifferentialForm.zero(2.0)),
+    ("radial_field", lambda: polyvec.radial_field("3")),
+    ("RMatrix", lambda: RMatrix("x", {})),
+    ("VolumeConvention", lambda: polyvec.VolumeConvention(1.0)),
+    ("euler", lambda: polyvec.euler("3", 1, 1)),
+    ("euler", lambda: polyvec.euler(3, 1.5, 1)),
+    ("dim_irrep", lambda: polyvec.dim_irrep("3", 1, 1)),
+    ("dim_irrep", lambda: polyvec.dim_irrep(3, 1, "1")),
+    ("centralizer_kernel", lambda: polyvec.centralizer_kernel(
+        LinearMatrix([[1, 0], [0, -1]]), "2")),
+    ("parse_field", lambda: polyvec.parse_field("x1", "3")),
+]
+
+
+@pytest.mark.parametrize("name, call", _INTEGER_CALLS,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(_INTEGER_CALLS)])
+def test_an_integer_argument_of_another_kind_names_its_callable(name, call):
+    """Each integer argument is read once through ``fields._integer``."""
+    with pytest.raises(TypeError, match=f"^{name} takes int, not (str|float)$"):
+        call()
+
+
 @pytest.mark.parametrize("name", list(_CALLS))
 def test_a_tuple_list_or_field_in_place_of_a_value_raises_type_error(name):
     """A tuple for a ``JacobiPair``, a list for a ``LinearMatrix`` or a

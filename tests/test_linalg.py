@@ -113,6 +113,16 @@ def test_a_row_with_a_column_outside_ncols_raises(operation, rows, column):
         operation(rows)
 
 
+@pytest.mark.parametrize("operation", [
+    lambda: linalg.nullspace([], -1),
+    lambda: linalg.nullspace([[1, 0]], -2),
+    lambda: linalg.span_equal([], [], -3),
+], ids=["nullspace-empty", "nullspace", "span_equal"])
+def test_a_negative_ncols_raises(operation):
+    with pytest.raises(DimensionError, match="^the number of columns must be >= 0, got -"):
+        operation()
+
+
 @pytest.mark.parametrize("value", [0.5, Decimal("0.5")], ids=["float", "Decimal"])
 @pytest.mark.parametrize("operation", [
     lambda x: linalg.rref([[x, 1]]),

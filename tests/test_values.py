@@ -17,6 +17,7 @@ from polyvec import (
     BiDegree,
     ClassificationCase,
     DecompositionResult,
+    DimensionError,
     ExpressionAST,
     JacobiPair,
     LinearMatrix,
@@ -210,6 +211,22 @@ def test_quadratic_constraint_sets_are_frozen_and_hash():
     raw[(0, 1)] = 5
     assert value.parameters == ("c1", "c2") and value.constraints == ({(0, 1): Fraction(1, 2)},)
     assert hash(value) == hash(QuadraticConstraintSet(("c1", "c2"), ({(0, 1): Fraction(1, 2)},)))
+
+
+@pytest.mark.parametrize("key", [(0, 5), (1, 0), (-1, 0), (0, 2), ("0", 1), (True, 1),
+                                 (0,), (0, 0, 0), 0])
+def test_quadratic_constraint_keys_are_checked_at_construction(key):
+    """A key must be an integer pair (i, j) with 0 <= i <= j < 2."""
+    with pytest.raises(DimensionError, match="^constraint key .* is not a pair"):
+        QuadraticConstraintSet(("c1", "c2"), ({(0, 1): 1}, {key: 1}))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BiDegree(-1, 2), lambda: BiDegree(0, -1), lambda: VolumeConvention(0),
+    lambda: VolumeConvention(-2)], ids=["k", "ell", "volume-0", "volume-negative"])
+def test_records_refuse_a_negative_degree_and_a_dimension_below_one(build):
+    with pytest.raises(DimensionError, match="must be >= "):
+        build()
 
 
 def test_jacobi_pair_and_r_matrix_reprs():
